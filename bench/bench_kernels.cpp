@@ -1,7 +1,8 @@
 // Kernel-layer micro bench: scalar reference vs the runtime-dispatched SIMD
-// table (common/kernels.h) on the serving hot path's shapes — GEMV, dot, the
-// fused dequantize-dot kernels per kv_mode, and attention score/accumulate
-// over realistic block-segment shapes — plus the in-process serving headline
+// table (common/kernels.h) on the serving hot path's shapes — GEMV, the
+// weight-stationary multi-row GEMM at 1 / 4 / 16 activation rows, the fused
+// dequantize-dot kernels per kv_mode, and attention score/accumulate over
+// realistic block-segment shapes — plus the in-process serving headline
 // numbers (fifo chunk-1 vs chunk-8 short-request p50 TTFT steps, decode
 // tokens/s) that bench_scheduler/bench_sampling report, persisted together
 // as BENCH_kernels.json (path = argv[1], default ./BENCH_kernels.json) to
@@ -9,12 +10,14 @@
 //
 // Asserted (exit 1): every dispatched kernel matches the scalar reference
 // within reduction-reorder tolerance; the fused dequant kernels match
-// gather-then-dot BITWISE within each table; with a SIMD table present, the
-// dispatched GEMV is not slower than scalar.
+// gather-then-dot and the multi-row gemm matches matvec BITWISE within each
+// table; with a SIMD table present, the dispatched GEMV is not slower than
+// scalar.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -54,6 +57,14 @@ std::vector<std::int8_t> rand_codes(std::size_t n) {
 }
 
 float g_sink = 0.0f;  // defeats dead-code elimination across timed calls
+
+// The table's dot product, reached through a one-row matvec.
+float table_dot(const KernelOps& ops, const float* a, const float* b,
+                std::size_t n) {
+  float y = 0.0f;
+  ops.matvec(a, 1, n, b, &y);
+  return y;
+}
 
 template <typename F>
 double us_per_call(F&& f, int iters) {
@@ -156,8 +167,8 @@ int main(int argc, char** argv) {
   {
     const std::size_t n = 1037;  // vector body + tail
     const auto a = rand_vec(n), b = rand_vec(n);
-    const float got = dispatched.dot(a.data(), b.data(), n);
-    const float want = scalar.dot(a.data(), b.data(), n);
+    const float got = table_dot(dispatched, a.data(), b.data(), n);
+    const float want = table_dot(scalar, a.data(), b.data(), n);
     check(std::fabs(got - want) <= 1e-4f * (1.0f + std::fabs(want)),
           "dispatched dot within tolerance of scalar");
 
@@ -169,18 +180,36 @@ int main(int argc, char** argv) {
     }
     for (const KernelOps* ops : {&scalar, &dispatched}) {
       check(ops->dequant_dot_int8(a.data(), codes.data(), n, s) ==
-                ops->dot(a.data(), dec.data(), n),
+                table_dot(*ops, a.data(), dec.data(), n),
             "fused int8 dequant-dot bitwise == gather-then-dot");
       std::vector<float> lg(n);
       for (std::size_t i = 0; i < n; ++i) {
         lg[i] = kv_decode_log2(codes[i], 2);
       }
       check(ops->dequant_dot_log2(a.data(), codes.data(), n, 2) ==
-                ops->dot(a.data(), lg.data(), n),
+                table_dot(*ops, a.data(), lg.data(), n),
             "fused log2 dequant-dot bitwise == gather-then-dot");
     }
-    std::printf("parity: dispatched-vs-scalar tolerance and fused-vs-gather "
-                "bitwise checks %s\n\n",
+    // gemm == matvec bitwise, every output, odd rows and a column tail.
+    const std::size_t g_rows = 67, g_cols = 515;
+    const auto gw = rand_vec(g_rows * g_cols);
+    for (const KernelOps* ops : {&scalar, &dispatched}) {
+      for (const std::size_t nx : {1u, 4u, 16u, 17u}) {
+        const auto gx = rand_vec(nx * g_cols);
+        std::vector<float> got(nx * g_rows), want(nx * g_rows);
+        ops->gemm(gw.data(), g_rows, g_cols, gx.data(), nx, got.data(),
+                  g_rows);
+        for (std::size_t bi = 0; bi < nx; ++bi) {
+          ops->matvec(gw.data(), g_rows, g_cols, gx.data() + bi * g_cols,
+                      want.data() + bi * g_rows);
+        }
+        check(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(float)) == 0,
+              "multi-row gemm bitwise == matvec");
+      }
+    }
+    std::printf("parity: dispatched-vs-scalar tolerance, fused-vs-gather and "
+                "gemm-vs-matvec bitwise checks %s\n\n",
                 g_ok ? "PASS" : "FAIL");
   }
 
@@ -210,13 +239,44 @@ int main(int argc, char** argv) {
   const double gemv_gflops_simd =
       2.0 * static_cast<double>(rows * cols) / gemv_simd / 1e3;
 
+  // Multi-row GEMM over the same matrix: GFLOP/s at 1, 4 and 16 activation
+  // rows (the weight is read once per call, reused by every row).
+  struct GemmPoint {
+    std::size_t n;
+    double scalar_us, dispatched_us;
+  };
+  std::vector<GemmPoint> gemm_points;
+  for (const std::size_t nx : {1u, 4u, 16u}) {
+    const auto xs = rand_vec(nx * cols);
+    std::vector<float> ys(nx * rows);
+    const int iters = 1600 / static_cast<int>(nx) + 40;
+    GemmPoint pt{nx, 0.0, 0.0};
+    pt.scalar_us = us_per_call(
+        [&] {
+          scalar.gemm(w.data(), rows, cols, xs.data(), nx, ys.data(), rows);
+        },
+        iters / 4 + 10);
+    pt.dispatched_us = us_per_call(
+        [&] {
+          dispatched.gemm(w.data(), rows, cols, xs.data(), nx, ys.data(),
+                          rows);
+        },
+        iters);
+    g_sink += ys[0];
+    const std::string label = "gemm 512x512 x" + std::to_string(nx);
+    row(label.c_str(), pt.scalar_us, pt.dispatched_us);
+    gemm_points.push_back(pt);
+  }
+  const auto gflops = [&](std::size_t nx, double us) {
+    return 2.0 * static_cast<double>(rows * cols * nx) / us / 1e3;
+  };
+  for (const GemmPoint& pt : gemm_points) {
+    std::printf("  gemm x%-2zu dispatched %.2f GFLOP/s (scalar %.2f)\n", pt.n,
+                gflops(pt.n, pt.dispatched_us), gflops(pt.n, pt.scalar_us));
+  }
+
   const std::size_t n = 4096;
-  const auto a = rand_vec(n), b = rand_vec(n);
-  const double dot_scalar =
-      us_per_call([&] { g_sink += scalar.dot(a.data(), b.data(), n); }, 2000);
-  const double dot_simd = us_per_call(
-      [&] { g_sink += dispatched.dot(a.data(), b.data(), n); }, 2000);
-  const double dot_speedup = row("dot 4096", dot_scalar, dot_simd);
+  const auto a = rand_vec(n);
 
   const auto codes = rand_codes(n);
   const double i8_scalar = us_per_call(
@@ -325,9 +385,17 @@ int main(int argc, char** argv) {
        << ", \"dispatched_us\": " << gemv_simd << ", \"scalar_gflops\": "
        << gemv_gflops_scalar << ", \"dispatched_gflops\": "
        << gemv_gflops_simd << ", \"speedup\": " << gemv_speedup << "},\n"
-       << "    \"dot_4096\": {\"scalar_us\": " << dot_scalar
-       << ", \"dispatched_us\": " << dot_simd << ", \"speedup\": "
-       << dot_speedup << "},\n"
+       << "    \"gemm_512x512\": {";
+  for (std::size_t i = 0; i < gemm_points.size(); ++i) {
+    const GemmPoint& pt = gemm_points[i];
+    json << (i == 0 ? "" : ", ") << "\"rows_" << pt.n
+         << "\": {\"scalar_us\": " << pt.scalar_us
+         << ", \"dispatched_us\": " << pt.dispatched_us
+         << ", \"scalar_gflops\": " << gflops(pt.n, pt.scalar_us)
+         << ", \"dispatched_gflops\": " << gflops(pt.n, pt.dispatched_us)
+         << "}";
+  }
+  json << "},\n"
        << "    \"dequant_dot_int8_4096\": {\"scalar_us\": " << i8_scalar
        << ", \"dispatched_us\": " << i8_simd << ", \"speedup\": "
        << i8_speedup << "},\n"

@@ -34,14 +34,6 @@ inline void record(KernelKind kind, std::uint64_t elems, std::uint64_t ns) {
 // table's) and, when this thread has a bound slot, times the call. With no
 // slot bound the clock is never read.
 
-float prof_dot(const float* a, const float* b, std::size_t n) {
-  if (t_slot == nullptr) return g_underlying->dot(a, b, n);
-  const std::uint64_t t0 = now_ns();
-  const float r = g_underlying->dot(a, b, n);
-  record(KernelKind::kDot, n, now_ns() - t0);
-  return r;
-}
-
 void prof_matvec(const float* w, std::size_t rows, std::size_t cols,
                  const float* x, float* y) {
   if (t_slot == nullptr) return g_underlying->matvec(w, rows, cols, x, y);
@@ -50,14 +42,15 @@ void prof_matvec(const float* w, std::size_t rows, std::size_t cols,
   record(KernelKind::kMatvec, rows * cols, now_ns() - t0);
 }
 
-void prof_matvec_transposed(const float* w, std::size_t rows, std::size_t cols,
-                            const float* x, float* y) {
-  if (t_slot == nullptr) {
-    return g_underlying->matvec_transposed(w, rows, cols, x, y);
-  }
+// The multi-row GEMM is matvec's work for n activation rows at once, booked
+// under kMatvec with n times the elements, so matvec calls / elements / ns
+// keep measuring the model's weight work whichever entry ran it.
+void prof_gemm(const float* w, std::size_t rows, std::size_t cols,
+               const float* x, std::size_t n, float* y, std::size_t ldy) {
+  if (t_slot == nullptr) return g_underlying->gemm(w, rows, cols, x, n, y, ldy);
   const std::uint64_t t0 = now_ns();
-  g_underlying->matvec_transposed(w, rows, cols, x, y);
-  record(KernelKind::kMatvecTransposed, rows * cols, now_ns() - t0);
+  g_underlying->gemm(w, rows, cols, x, n, y, ldy);
+  record(KernelKind::kMatvec, rows * cols * n, now_ns() - t0);
 }
 
 void prof_axpy(float a, const float* x, float* y, std::size_t n) {
@@ -170,9 +163,8 @@ void prof_dequant_accum_log2(const float* w, const std::int8_t* v_codes,
 
 constexpr KernelOps kProfiledOps = {
     "profiled",
-    prof_dot,
     prof_matvec,
-    prof_matvec_transposed,
+    prof_gemm,
     prof_axpy,
     prof_scale,
     prof_attend_scores,
@@ -189,9 +181,7 @@ constexpr KernelOps kProfiledOps = {
 
 std::string to_string(KernelKind kind) {
   switch (kind) {
-    case KernelKind::kDot: return "dot";
     case KernelKind::kMatvec: return "matvec";
-    case KernelKind::kMatvecTransposed: return "matvec_transposed";
     case KernelKind::kAxpy: return "axpy";
     case KernelKind::kScale: return "scale";
     case KernelKind::kAttendScores: return "attend_scores";

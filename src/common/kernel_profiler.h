@@ -5,15 +5,18 @@
 // ## What it measures
 //
 // Two attribution planes, both accumulated into a KernelProfile:
-//   * per-kernel-kind counters — one row per KernelOps entry (dot, matvec,
+//   * per-kernel-kind counters — one row per KernelOps entry (matvec,
 //     attend_scores, fused dequant kernels, ...) holding call count, element
-//     count (MAC-shaped work: rows x cols for a GEMV, rows x d_head for an
-//     attend primitive), and wall-clock nanoseconds;
+//     count (MAC-shaped work: rows x cols for a GEMV, rows x cols x n for a
+//     multi-row gemm — booked under matvec — rows x d_head for an attend
+//     primitive), and wall-clock nanoseconds;
 //   * per-layer phase counters — the decoder pass split the way a serving
 //     profiler reports it (norm / qkv / attend / ffn / logits), per layer
-//     and aggregated, filled in by PreparedModel::forward_token_layer and
-//     finish_logits. The logits phase is model-level (final norm + embedding
-//     GEMV), so it accrues only in the aggregate row.
+//     and aggregated, filled in by the work items of PreparedModel::forward.
+//     A phase accrues one call per work item that ran it, and its ns are
+//     worker time (summed over threads), not wall time. The logits phase is
+//     model-level (final norm + embedding GEMM), so it accrues only in the
+//     aggregate row.
 //
 // ## How interposition works (zero overhead when off)
 //
@@ -36,13 +39,13 @@
 //
 // ## Thread discipline (the serving engine's parallel decode fan-out)
 //
-// Samples land in a thread-local KernelProfile* slot (bind_slot). The
-// engine gives every batch slot its own scratch KernelProfile, binds it at
-// the top of that slot's decode closure, and merges all slots into the run
-// total on the serial phase — the same per-slot-scratch pattern as the
-// decode timing vectors, so no synchronization is needed anywhere. With no
-// slot bound, a wrapped kernel skips the clock reads entirely and just
-// delegates.
+// Samples land in a thread-local KernelProfile* slot (bind_slot). Given a
+// destination profile, PreparedModel::forward gives every parallel work item
+// (a GEMM output-row tile, a row's norm/quantize, a sequence's attention)
+// its own scratch KernelProfile, binds it around that item, and merges the
+// items into the destination serially after each stage, so no
+// synchronization is needed anywhere. With no slot bound, a wrapped kernel
+// skips the clock reads entirely and just delegates.
 //
 // Nested kernel calls inside one table (e.g. a scalar matvec looping over
 // scalar_dot) are NOT double-counted: the wrapper counts entries through the
@@ -63,11 +66,9 @@
 
 namespace opal {
 
-/// One row per KernelOps entry, in declaration order.
+/// One row per KernelOps entry, in declaration order; gemm shares matvec's.
 enum class KernelKind : std::uint8_t {
-  kDot,
-  kMatvec,
-  kMatvecTransposed,
+  kMatvec,  // matvec and gemm (elements = rows x cols x activation rows)
   kAxpy,
   kScale,
   kAttendScores,
@@ -79,7 +80,7 @@ enum class KernelKind : std::uint8_t {
   kDequantAccumInt8,
   kDequantAccumLog2,
 };
-inline constexpr std::size_t kKernelKindCount = 13;
+inline constexpr std::size_t kKernelKindCount = 11;
 
 [[nodiscard]] std::string to_string(KernelKind kind);
 
@@ -155,8 +156,8 @@ class KernelProfiler {
   [[nodiscard]] static bool env_enabled();
 
   /// Binds `slot` as this thread's sample destination (nullptr unbinds).
-  /// The serving engine binds each batch slot's scratch inside its decode
-  /// closure; standalone callers (benches, tests) bind one slot around a
+  /// PreparedModel::forward binds each work item's scratch around the item;
+  /// standalone callers (benches, tests) bind one slot around a serial
   /// model pass on their own thread.
   static void bind_slot(KernelProfile* slot);
   /// This thread's bound slot, or nullptr (samples are dropped cheaply).

@@ -29,13 +29,15 @@ void scalar_matvec(const float* w, std::size_t rows, std::size_t cols,
   for (std::size_t r = 0; r < rows; ++r) y[r] = scalar_dot(w + r * cols, x, cols);
 }
 
-void scalar_matvec_transposed(const float* w, std::size_t rows,
-                              std::size_t cols, const float* x, float* y) {
-  for (std::size_t c = 0; c < cols; ++c) y[c] = 0.0f;
+// Weight row outer, activation rows inner: each weight row is reused across
+// the batch while it is cache-hot. Every output is scalar_dot — matvec's
+// reduction — so gemm == matvec bitwise by construction.
+void scalar_gemm(const float* w, std::size_t rows, std::size_t cols,
+                 const float* x, std::size_t n, float* y, std::size_t ldy) {
   for (std::size_t r = 0; r < rows; ++r) {
-    const float* row = w + r * cols;
-    const float xr = x[r];
-    for (std::size_t c = 0; c < cols; ++c) y[c] += row[c] * xr;
+    for (std::size_t b = 0; b < n; ++b) {
+      y[b * ldy + r] = scalar_dot(w + r * cols, x + b * cols, cols);
+    }
   }
 }
 
@@ -137,9 +139,8 @@ void scalar_dequant_accum_log2(const float* w, const std::int8_t* v_codes,
 
 constexpr KernelOps kScalarOps = {
     "scalar",
-    scalar_dot,
     scalar_matvec,
-    scalar_matvec_transposed,
+    scalar_gemm,
     scalar_axpy,
     scalar_scale,
     scalar_attend_scores,

@@ -1,6 +1,7 @@
-// SIMD kernel layer for the serving hot path: vectorized GEMV / dot / axpy
-// and the attention score / weighted-sum primitives, including fused
-// dequantize-dot kernels that consume quantized KV block codes directly.
+// SIMD kernel layer for the serving hot path: vectorized GEMV, the
+// weight-stationary multi-row GEMM, axpy, and the attention score /
+// weighted-sum primitives, including fused dequantize-dot kernels that
+// consume quantized KV block codes directly.
 //
 // ## Dispatch rules
 //
@@ -28,8 +29,19 @@
 // * SIMD tables are *tolerance*-equal to scalar (vector lanes change the
 //   reduction order of dot products), and every table is deterministic: the
 //   same inputs through the same table give the same bits, every time.
-// * Dot products accumulate in double (both scalar and SIMD), preserving the
-//   precision contract of opal::dot.
+// * Dot products accumulate in double (both scalar and SIMD).
+// * The multi-row `gemm` entry is bitwise equal to that SAME table's
+//   `matvec`, output for output, for any number of activation rows and any
+//   output-row sub-range: each y[b][r] is reduced exactly as matvec reduces
+//   row r against x_b (the table's vector body in double accumulators, the
+//   same horizontal sum, the same sequential double tail). Batching rows
+//   therefore changes where a weight is loaded from, never a bit of any
+//   row's result — the guarantee PreparedModel::forward's batch-composition
+//   and thread-count independence rests on. A table may implement it as a
+//   loop over its own matvec/dot (scalar, NEON: bitwise by construction);
+//   the AVX2 table register-blocks 2 weight rows x 4 activation rows and
+//   runs the two double accumulator chains (lanes 0-3, lanes 4-7) as two
+//   passes, legal because neither chain ever reads the other's lanes.
 // * Fused dequantize kernels decode quantized codes to *exactly* the floats
 //   KvBlockPool::read_row produces (int8: float(code) * (scale/127); log2:
 //   kv_decode_log2 below), and accumulate them with exactly the same
@@ -43,7 +55,10 @@
 // 1. Add src/common/kernels_<isa>.cpp defining every KernelOps entry with
 //    the table-local accumulation structure mirrored between fused and
 //    non-fused kernels (vector body + sequential scalar tail), guarded by
-//    the architecture's predefine (e.g. #if defined(__riscv_vector)).
+//    the architecture's predefine (e.g. #if defined(__riscv_vector)). Its
+//    `gemm` must reduce every output exactly like its `matvec`; start with
+//    a loop over matvec (one activation row per call) and block it only
+//    once tests/test_kernels.cpp's gemm == matvec parity holds bitwise.
 // 2. Give the TU its ISA flags + -ffp-contract=off in CMakeLists.txt, keyed
 //    on CMAKE_SYSTEM_PROCESSOR, and declare its
 //    `const KernelOps* opal_<isa>_kernels()` probe in kernels.cpp's resolve
@@ -66,17 +81,19 @@ struct KernelOps {
   /// Dispatch target name: "scalar", "avx2", "neon".
   const char* name;
 
-  /// Dot product, accumulated in double: sum_i a[i] * b[i].
-  float (*dot)(const float* a, const float* b, std::size_t n);
-
-  /// y[r] = dot(w_row_r, x) for a row-major [rows x cols] matrix.
+  /// y[r] = dot(w_row_r, x) for a row-major [rows x cols] matrix, each dot
+  /// accumulated in double.
   void (*matvec)(const float* w, std::size_t rows, std::size_t cols,
                  const float* x, float* y);
 
-  /// y[c] = sum_r w[r, c] * x[r] for a row-major [rows x cols] matrix
-  /// (axpy-accumulated in float, row-major streaming order).
-  void (*matvec_transposed)(const float* w, std::size_t rows,
-                            std::size_t cols, const float* x, float* y);
+  /// Weight-stationary multi-row GEMM over `n` activation rows:
+  ///   y[b*ldy + r] = dot(w_row_r, x + b*cols)   for r < rows, b < n
+  /// (x is [n x cols] row-major). Bitwise equal to matvec(w, rows, cols,
+  /// x + b*cols, ...) for every b — see the numerical contract above. A
+  /// thread tile computes output rows [r0, r1) by passing w + r0*cols,
+  /// r1 - r0, and y + r0 with the full matrix's ldy.
+  void (*gemm)(const float* w, std::size_t rows, std::size_t cols,
+               const float* x, std::size_t n, float* y, std::size_t ldy);
 
   /// y[i] += a * x[i].
   void (*axpy)(float a, const float* x, float* y, std::size_t n);

@@ -14,6 +14,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/kernels.h"
 
 namespace opal {
@@ -116,20 +119,147 @@ void avx2_matvec(const float* w, std::size_t rows, std::size_t cols,
   for (std::size_t r = 0; r < rows; ++r) y[r] = avx2_dot(w + r * cols, x, cols);
 }
 
-void avx2_matvec_transposed(const float* w, std::size_t rows,
-                            std::size_t cols, const float* x, float* y) {
-  for (std::size_t c = 0; c < cols; ++c) y[c] = 0.0f;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* row = w + r * cols;
-    const float xr = x[r];
-    const __m256 xv = _mm256_set1_ps(xr);
-    std::size_t c = 0;
-    for (; c + 8 <= cols; c += 8) {
-      const __m256 yv = _mm256_fmadd_ps(_mm256_loadu_ps(row + c), xv,
-                                        _mm256_loadu_ps(y + c));
-      _mm256_storeu_ps(y + c, yv);
+// --- weight-stationary multi-row GEMM ---------------------------------------
+//
+// Every output must come out bitwise equal to avx2_dot(w_row, x_b): acc0
+// collects lanes 0-3 of each 8-float block, acc1 lanes 4-7, both in double
+// FMAs, then hsum, then the sequential double tail. The kernel keeps exactly
+// those chains but reorganizes everything around them:
+//   * 2 weight rows x 4 activation rows are blocked in named registers, so
+//     each converted weight vector feeds 4 FMAs and each activation vector
+//     2 (the naive per-output loop spilled its accumulator arrays);
+//   * activations are widened to double once per (tile, block) into a
+//     thread-local scratch, lanes 0-3 of every block packed first and lanes
+//     4-7 after, so each pass streams one contiguous half;
+//   * the acc0 and acc1 chains run as two separate passes over the row
+//     (neither ever reads the other's lanes, so the split is exact), which
+//     keeps 8 accumulators + 3 temporaries inside the 16 ymm registers;
+//   * weight rows are tiled so a tile stays cache-hot while every
+//     activation block passes over it.
+// FMA vs separate multiply-add is immaterial here: a product of two
+// float-widened doubles is exact, so both round once, identically.
+
+// Weight-tile size in floats (~64 KiB): hot in L2 across activation blocks.
+constexpr std::size_t kGemmTileFloats = 16384;
+
+// One accumulator pass for an R x B block (R in {1,2} weight rows, B in
+// [1,4] activation rows). w0/w1 point at the pass's first lane (row + 0 or
+// row + 4), x0..x3 at the pass's packed half of each widened activation
+// row; out receives the R*B accumulators, row-major [R][4].
+template <int R, int B>
+inline void gemm_pass(const float* w0, const float* w1, const double* x0,
+                      const double* x1, const double* x2, const double* x3,
+                      std::size_t nb, __m256d* out) {
+  __m256d a00 = _mm256_setzero_pd(), a01 = a00, a02 = a00, a03 = a00;
+  __m256d a10 = a00, a11 = a00, a12 = a00, a13 = a00;
+  for (std::size_t i = 0; i < nb; ++i) {
+    const __m256d wa = _mm256_cvtps_pd(_mm_loadu_ps(w0 + 8 * i));
+    __m256d wb = wa;
+    if constexpr (R == 2) wb = _mm256_cvtps_pd(_mm_loadu_ps(w1 + 8 * i));
+    __m256d xv = _mm256_loadu_pd(x0 + 4 * i);
+    a00 = _mm256_fmadd_pd(wa, xv, a00);
+    if constexpr (R == 2) a10 = _mm256_fmadd_pd(wb, xv, a10);
+    if constexpr (B > 1) {
+      xv = _mm256_loadu_pd(x1 + 4 * i);
+      a01 = _mm256_fmadd_pd(wa, xv, a01);
+      if constexpr (R == 2) a11 = _mm256_fmadd_pd(wb, xv, a11);
     }
-    for (; c < cols; ++c) y[c] += row[c] * xr;
+    if constexpr (B > 2) {
+      xv = _mm256_loadu_pd(x2 + 4 * i);
+      a02 = _mm256_fmadd_pd(wa, xv, a02);
+      if constexpr (R == 2) a12 = _mm256_fmadd_pd(wb, xv, a12);
+    }
+    if constexpr (B > 3) {
+      xv = _mm256_loadu_pd(x3 + 4 * i);
+      a03 = _mm256_fmadd_pd(wa, xv, a03);
+      if constexpr (R == 2) a13 = _mm256_fmadd_pd(wb, xv, a13);
+    }
+  }
+  out[0] = a00;
+  out[1] = a01;
+  out[2] = a02;
+  out[3] = a03;
+  out[4] = a10;
+  out[5] = a11;
+  out[6] = a12;
+  out[7] = a13;
+}
+
+// Outputs for weight rows r..r+R-1 against activation rows b0..b0+B-1.
+// `xw` holds the block's widened rows (stride 8*nb doubles, lanes 0-3 of
+// each 8-block in the first half, lanes 4-7 in the second).
+template <int R, int B>
+inline void gemm_block(const float* w, std::size_t r, std::size_t cols,
+                       const float* x, std::size_t b0, const double* xw,
+                       float* y, std::size_t ldy) {
+  const std::size_t nb = cols / 8;
+  const std::size_t half = 4 * nb;
+  const double* xr[4] = {xw, xw + 2 * half, xw + 4 * half, xw + 6 * half};
+  const float* w0 = w + r * cols;
+  const float* w1 = R == 2 ? w0 + cols : w0;
+  __m256d lo[8], hi[8];
+  gemm_pass<R, B>(w0, w1, xr[0], xr[1], xr[2], xr[3], nb, lo);
+  gemm_pass<R, B>(w0 + 4, w1 + 4, xr[0] + half, xr[1] + half, xr[2] + half,
+                  xr[3] + half, nb, hi);
+  for (int i = 0; i < R; ++i) {
+    const float* wr = w0 + static_cast<std::size_t>(i) * cols;
+    for (int j = 0; j < B; ++j) {
+      const float* xb = x + (b0 + static_cast<std::size_t>(j)) * cols;
+      double acc = hsum(lo[4 * i + j], hi[4 * i + j]);
+      for (std::size_t c = 8 * nb; c < cols; ++c) {
+        acc += static_cast<double>(wr[c]) * static_cast<double>(xb[c]);
+      }
+      y[(b0 + static_cast<std::size_t>(j)) * ldy + r +
+        static_cast<std::size_t>(i)] = static_cast<float>(acc);
+    }
+  }
+}
+
+template <int R>
+inline void gemm_block_n(std::size_t bn, const float* w, std::size_t r,
+                         std::size_t cols, const float* x, std::size_t b0,
+                         const double* xw, float* y, std::size_t ldy) {
+  switch (bn) {
+    case 1: return gemm_block<R, 1>(w, r, cols, x, b0, xw, y, ldy);
+    case 2: return gemm_block<R, 2>(w, r, cols, x, b0, xw, y, ldy);
+    case 3: return gemm_block<R, 3>(w, r, cols, x, b0, xw, y, ldy);
+    default: return gemm_block<R, 4>(w, r, cols, x, b0, xw, y, ldy);
+  }
+}
+
+void avx2_gemm(const float* w, std::size_t rows, std::size_t cols,
+               const float* x, std::size_t n, float* y, std::size_t ldy) {
+  if (n == 1) {
+    // One activation row gains nothing from blocking: matvec itself.
+    avx2_matvec(w, rows, cols, x, y);
+    return;
+  }
+  const std::size_t nb = cols / 8;
+  thread_local std::vector<double> xw;
+  if (xw.size() < 4 * 8 * nb) xw.resize(4 * 8 * nb);
+  const std::size_t tile = std::max<std::size_t>(
+      2, (kGemmTileFloats / std::max<std::size_t>(cols, 1)) & ~std::size_t{1});
+  for (std::size_t r0 = 0; r0 < rows; r0 += tile) {
+    const std::size_t r1 = std::min(rows, r0 + tile);
+    for (std::size_t b0 = 0; b0 < n; b0 += 4) {
+      const std::size_t bn = std::min<std::size_t>(4, n - b0);
+      for (std::size_t j = 0; j < bn; ++j) {
+        const float* xb = x + (b0 + j) * cols;
+        double* lo = xw.data() + j * 8 * nb;
+        double* hi = lo + 4 * nb;
+        for (std::size_t i = 0; i < nb; ++i) {
+          _mm256_storeu_pd(lo + 4 * i,
+                           _mm256_cvtps_pd(_mm_loadu_ps(xb + 8 * i)));
+          _mm256_storeu_pd(hi + 4 * i,
+                           _mm256_cvtps_pd(_mm_loadu_ps(xb + 8 * i + 4)));
+        }
+      }
+      std::size_t r = r0;
+      for (; r + 2 <= r1; r += 2) {
+        gemm_block_n<2>(bn, w, r, cols, x, b0, xw.data(), y, ldy);
+      }
+      if (r < r1) gemm_block_n<1>(bn, w, r, cols, x, b0, xw.data(), y, ldy);
+    }
   }
 }
 
@@ -241,9 +371,8 @@ void avx2_dequant_accum_log2(const float* w, const std::int8_t* v_codes,
 
 constexpr KernelOps kAvx2Ops = {
     "avx2",
-    avx2_dot,
     avx2_matvec,
-    avx2_matvec_transposed,
+    avx2_gemm,
     avx2_axpy,
     avx2_scale,
     avx2_attend_scores,

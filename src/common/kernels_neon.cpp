@@ -128,18 +128,15 @@ void neon_matvec(const float* w, std::size_t rows, std::size_t cols,
   for (std::size_t r = 0; r < rows; ++r) y[r] = neon_dot(w + r * cols, x, cols);
 }
 
-void neon_matvec_transposed(const float* w, std::size_t rows,
-                            std::size_t cols, const float* x, float* y) {
-  for (std::size_t c = 0; c < cols; ++c) y[c] = 0.0f;
+// Weight row outer, activation rows inner; every output is neon_dot, so
+// gemm == matvec bitwise by construction (a register-blocked NEON variant
+// would have to mirror neon_dot's accumulator chains exactly).
+void neon_gemm(const float* w, std::size_t rows, std::size_t cols,
+               const float* x, std::size_t n, float* y, std::size_t ldy) {
   for (std::size_t r = 0; r < rows; ++r) {
-    const float* row = w + r * cols;
-    const float xr = x[r];
-    const float32x4_t xv = vdupq_n_f32(xr);
-    std::size_t c = 0;
-    for (; c + 4 <= cols; c += 4) {
-      vst1q_f32(y + c, vfmaq_f32(vld1q_f32(y + c), vld1q_f32(row + c), xv));
+    for (std::size_t b = 0; b < n; ++b) {
+      y[b * ldy + r] = neon_dot(w + r * cols, x + b * cols, cols);
     }
-    for (; c < cols; ++c) y[c] += row[c] * xr;
   }
 }
 
@@ -247,9 +244,8 @@ void neon_dequant_accum_log2(const float* w, const std::int8_t* v_codes,
 
 constexpr KernelOps kNeonOps = {
     "neon",
-    neon_dot,
     neon_matvec,
-    neon_matvec_transposed,
+    neon_gemm,
     neon_axpy,
     neon_scale,
     neon_attend_scores,

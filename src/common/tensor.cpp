@@ -4,27 +4,13 @@
 
 namespace opal {
 
-// Shape checks happen once here, at the public entry points; the kernel
-// table below them runs raw pointer loops with no per-row validation (the
-// old implementation re-checked sizes inside dot() for every matrix row).
+// Shape checks happen once here, at the public entry point; the kernel
+// table below it runs raw pointer loops with no per-row validation.
 
 void matvec(const Matrix& w, std::span<const float> x, std::span<float> y) {
   require(x.size() == w.cols(), "matvec: x size != cols");
   require(y.size() == w.rows(), "matvec: y size != rows");
   kernels().matvec(w.data(), w.rows(), w.cols(), x.data(), y.data());
-}
-
-void matvec_transposed(const Matrix& w, std::span<const float> x,
-                       std::span<float> y) {
-  require(x.size() == w.rows(), "matvec_transposed: x size != rows");
-  require(y.size() == w.cols(), "matvec_transposed: y size != cols");
-  kernels().matvec_transposed(w.data(), w.rows(), w.cols(), x.data(),
-                              y.data());
-}
-
-float dot(std::span<const float> a, std::span<const float> b) {
-  require(a.size() == b.size(), "dot: size mismatch");
-  return kernels().dot(a.data(), b.data(), a.size());
 }
 
 }  // namespace opal

@@ -59,15 +59,9 @@ class Matrix {
 
 using Vector = std::vector<float>;
 
-/// y = W x for a [rows x cols] matrix and a cols-long vector.
+/// y = W x for a [rows x cols] matrix and a cols-long vector (each row's
+/// dot product accumulated in double).
 void matvec(const Matrix& w, std::span<const float> x, std::span<float> y);
-
-/// y = W^T x for a [rows x cols] matrix and a rows-long vector.
-void matvec_transposed(const Matrix& w, std::span<const float> x,
-                       std::span<float> y);
-
-/// Dot product.
-[[nodiscard]] float dot(std::span<const float> a, std::span<const float> b);
 
 /// Throws std::invalid_argument with a formatted message when `cond` is false.
 inline void require(bool cond, const std::string& what) {

@@ -1,11 +1,11 @@
 // Speculative-decoding drafters: propose k candidate continuation tokens
-// per sequence so ServingEngine can verify them in ONE prefill_chunk-shaped
-// model pass and commit more than one generated token per pass.
+// per sequence so ServingEngine can verify them as ONE multi-row item of
+// the step's model pass and commit more than one generated token per pass.
 //
 // How a burst works (ServingEngine::step, speculation enabled): a sequence
 // at its generation frontier holds exactly one known-but-unfed token t0
 // (tokens.back()). The drafter proposes d1..dk; the engine feeds
-// [t0, d1, .., dk] through PreparedModel::prefill_chunk — bitwise identical
+// [t0, d1, .., dk] as one PreparedModel::forward item — bitwise identical
 // to k+1 single steps — and walks the per-row logits: row j's logits are
 // exactly what a non-speculative run would see when sampling generated
 // token j+1 of the burst.

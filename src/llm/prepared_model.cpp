@@ -7,6 +7,7 @@
 #include "common/float_bits.h"
 #include "common/kernel_profiler.h"
 #include "common/kernels.h"
+#include "common/thread_pool.h"
 #include "llm/sequence_state.h"
 #include "softmax/softmax.h"
 
@@ -293,151 +294,313 @@ void PreparedModel::attend(std::size_t l, SequenceState& seq,
   }
 }
 
-void PreparedModel::forward_token_layer(std::size_t l, SequenceState& seq,
-                                        std::span<float> x, std::size_t pos,
-                                        ActivationRecorder* recorder) const {
-  const auto& layer = layers_[l];
-  auto maybe_record = [&](RecordSite site, std::span<const float> v) {
-    if (recorder != nullptr) recorder->record(l, site, v);
-  };
-  std::span<float> h = seq.h_;
-  std::span<float> q = seq.q_;
-  std::span<float> k = seq.k_;
-  std::span<float> v = seq.v_;
-  std::span<float> z = seq.z_;
-  std::span<float> hidden = seq.hidden_;
-  // Phase attribution (nullptr slot — the common case — makes every scope a
-  // no-op). The scopes wrap the existing statements without reordering or
-  // touching data, so the output bits are unchanged.
-  KernelProfile* prof = KernelProfiler::slot();
+namespace {
 
-  // --- Attention block (Fig 5(c)) ---
-  {
-    PhaseScope phase(prof, LayerPhase::kNorm, l);
-    layer.attn_norm->apply(x, h);
-    maybe_record(RecordSite::kAttnIn, h);
-    maybe_quantize(ActivationSite::kPostLayerNorm, h);
+// Binds a work item's profiler slot for its lifetime and restores the
+// thread's previous binding after (a no-op for a null slot).
+class SlotBinding {
+ public:
+  explicit SlotBinding(KernelProfile* slot)
+      : slot_(slot), prev_(slot != nullptr ? KernelProfiler::slot() : nullptr) {
+    if (slot_ != nullptr) KernelProfiler::bind_slot(slot_);
   }
+  ~SlotBinding() {
+    if (slot_ != nullptr) KernelProfiler::bind_slot(prev_);
+  }
+  SlotBinding(const SlotBinding&) = delete;
+  SlotBinding& operator=(const SlotBinding&) = delete;
 
+ private:
+  KernelProfile* slot_;
+  KernelProfile* prev_;
+};
+
+// Runs fn(i) for every work item i < n: across `pool` when given, inline
+// otherwise. With a destination `profile`, item i samples into its own slot,
+// and the slots merge into `profile` serially once the stage drains.
+template <typename Fn>
+void run_items(std::size_t n, ThreadPool* pool, KernelProfile* profile,
+               std::vector<KernelProfile>& slots, const Fn& fn) {
+  if (n == 0) return;
+  if (profile != nullptr) {
+    if (slots.size() < n) slots.resize(n);
+    for (std::size_t i = 0; i < n; ++i) slots[i].clear();
+  }
+  const auto item = [&](std::size_t i) {
+    const SlotBinding bind(profile != nullptr ? &slots[i] : nullptr);
+    fn(i);
+  };
+  if (pool != nullptr && n > 1) {
+    pool->parallel_for(n, item);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) item(i);
+  }
+  if (profile != nullptr) {
+    for (std::size_t i = 0; i < n; ++i) profile->merge(slots[i]);
+  }
+}
+
+// Row-major [rows x width] view of row r of a scratch buffer.
+std::span<float> row_of(std::vector<float>& buf, std::size_t width,
+                        std::size_t r) {
+  return std::span<float>(buf).subspan(r * width, width);
+}
+
+void grow(std::vector<float>& buf, std::size_t n) {
+  if (buf.size() < n) buf.resize(n);
+}
+
+}  // namespace
+
+void PreparedModel::attend_row(std::size_t l, ForwardScratch& s,
+                               const ForwardScratch::Piece& piece,
+                               std::size_t t,
+                               ActivationRecorder* recorder) const {
+  const std::size_t d = model_->config().d_model;
+  const std::size_t row = piece.row0 + t;
+  const std::size_t pos = piece.pos0 + t;
+  SequenceState& seq = *piece.seq;
+  const std::span<float> q = row_of(s.q_, d, row);
+  const std::span<float> k = row_of(s.k_, d, row);
+  const std::span<float> v = row_of(s.v_, d, row);
+  const std::span<float> z = row_of(s.z_, d, row);
+  KernelProfile* prof = KernelProfiler::slot();
   {
     PhaseScope phase(prof, LayerPhase::kQkv, l);
-    matvec(layer.wq, h, q);
-    matvec(layer.wk, h, k);
-    matvec(layer.wv, h, v);
-    maybe_record(RecordSite::kQuery, q);
-    maybe_record(RecordSite::kKey, k);
-    maybe_record(RecordSite::kValue, v);
+    if (recorder != nullptr) {
+      recorder->record(l, RecordSite::kQuery, q);
+      recorder->record(l, RecordSite::kKey, k);
+      recorder->record(l, RecordSite::kValue, v);
+    }
     // Q, K enter Q.K^T and V enters Attn.V at the high bit-width.
     maybe_quantize(ActivationSite::kAttentionInput, q);
     maybe_quantize(ActivationSite::kAttentionInput, k);
     maybe_quantize(ActivationSite::kAttentionInput, v);
     seq.write_kv_at(l, pos, k, v);
   }
-
-  {
-    PhaseScope phase(prof, LayerPhase::kAttend, l);
-    attend(l, seq, q, z, pos + 1);
-    maybe_record(RecordSite::kProjIn, z);
-    maybe_quantize(ActivationSite::kGeneral, z);
-
-    const std::span<float> attn_out = seq.attn_out_;
-    matvec(layer.wo, z, attn_out);
-    kernels().axpy(1.0f, attn_out.data(), x.data(), x.size());
-  }
-
-  // --- FFN block (Fig 5(b)) ---
-  {
-    PhaseScope phase(prof, LayerPhase::kNorm, l);
-    layer.ffn_norm->apply(x, h);
-    maybe_record(RecordSite::kFc1In, h);
-    maybe_quantize(ActivationSite::kPostLayerNorm, h);
-  }
-
-  {
-    PhaseScope phase(prof, LayerPhase::kFfn, l);
-    matvec(layer.w_fc1, h, hidden);
-    apply_activation(model_->config().activation, hidden);
-    maybe_record(RecordSite::kFc2In, hidden);
-    maybe_quantize(ActivationSite::kGeneral, hidden);
-
-    const std::span<float> ffn_out = seq.ffn_out_;
-    matvec(layer.w_fc2, hidden, ffn_out);
-    kernels().axpy(1.0f, ffn_out.data(), x.data(), x.size());
-  }
+  PhaseScope phase(prof, LayerPhase::kAttend, l);
+  attend(l, seq, q, z, pos + 1);
+  if (recorder != nullptr) recorder->record(l, RecordSite::kProjIn, z);
+  maybe_quantize(ActivationSite::kGeneral, z);
 }
 
-void PreparedModel::finish_logits(SequenceState& seq,
-                                  std::span<const float> x,
-                                  std::span<float> out) const {
-  PhaseScope phase(KernelProfiler::slot(), LayerPhase::kLogits);
-  final_norm_->apply(x, seq.h_);
-  // Tied embedding head: logit[v] = E[v,:] . h.
-  matvec(model_->embedding(), seq.h_, out);
-  kernels().scale(model_->logit_scale(), out.data(), out.size());
+void PreparedModel::forward_pass(ForwardScratch& s, std::size_t rows,
+                                 ThreadPool* pool, KernelProfile* profile,
+                                 ActivationRecorder* recorder) const {
+  const auto& cfg = model_->config();
+  const std::size_t d = cfg.d_model;
+  const std::size_t d_ffn = cfg.d_ffn;
+  const std::size_t vocab = cfg.vocab;
+  grow(s.x_, rows * d);
+  grow(s.h_, rows * d);
+  grow(s.q_, rows * d);
+  grow(s.k_, rows * d);
+  grow(s.v_, rows * d);
+  grow(s.z_, rows * d);
+  grow(s.proj_, rows * d);
+  grow(s.hidden_, rows * d_ffn);
+  grow(s.logits_, rows * vocab);
+
+  // Serial prologue: open every piece's KV positions (no pool traffic when
+  // the caller reserved them) and embed its tokens.
+  for (ForwardScratch::Piece& piece : s.pieces_) {
+    piece.pos0 = piece.seq->position();
+    piece.seq->advance_cache_by(piece.tokens.size());
+    for (std::size_t t = 0; t < piece.tokens.size(); ++t) {
+      const auto emb = model_->embedding().row(piece.tokens[t]);
+      std::copy(emb.begin(), emb.end(),
+                row_of(s.x_, d, piece.row0 + t).begin());
+    }
+  }
+
+  // y = W x for every listed matrix over all pass rows, one work item per
+  // kGemmTileRows output rows. The split depends on the shapes only, so the
+  // work items (and the profile's call counts) are the same at any thread
+  // count.
+  const auto gemm_stage = [&](LayerPhase phase, std::size_t layer,
+                              std::initializer_list<ForwardScratch::GemmTile>
+                                  mats) {
+    s.tiles_.clear();
+    for (const auto& m : mats) {
+      for (std::size_t r0 = 0; r0 < m.r1; r0 += kGemmTileRows) {
+        ForwardScratch::GemmTile t = m;
+        t.r0 = r0;
+        t.r1 = std::min(m.r1, r0 + kGemmTileRows);
+        s.tiles_.push_back(t);
+      }
+    }
+    run_items(s.tiles_.size(), pool, profile, s.slots_, [&](std::size_t i) {
+      const ForwardScratch::GemmTile& t = s.tiles_[i];
+      PhaseScope scope(KernelProfiler::slot(), phase, layer);
+      kernels().gemm(t.w + t.r0 * t.cols, t.r1 - t.r0, t.cols, t.x, rows,
+                     t.y + t.r0, t.ldy);
+    });
+  };
+  const auto mat = [&](const Matrix& w, const std::vector<float>& x,
+                       std::vector<float>& y) {
+    return ForwardScratch::GemmTile{w.data(), 0, w.rows(), w.rows(),
+                                    w.cols(), x.data(), y.data()};
+  };
+  const auto row_stage = [&](const auto& fn) {
+    run_items(rows, pool, profile, s.slots_, fn);
+  };
+  // A recorder sees each site for the rows in order: serial row stages.
+  const auto record = [&](std::size_t l, RecordSite site,
+                          std::span<const float> v) {
+    if (recorder != nullptr) recorder->record(l, site, v);
+  };
+
+  for (std::size_t l = 0; l < cfg.n_layers; ++l) {
+    const PreparedLayer& layer = layers_[l];
+    // --- Attention block (Fig 5(c)) ---
+    row_stage([&](std::size_t r) {
+      PhaseScope phase(KernelProfiler::slot(), LayerPhase::kNorm, l);
+      const std::span<float> x = row_of(s.x_, d, r);
+      // The previous layer's FFN residual rides with this norm.
+      if (l > 0) {
+        kernels().axpy(1.0f, row_of(s.proj_, d, r).data(), x.data(), d);
+      }
+      const std::span<float> h = row_of(s.h_, d, r);
+      layer.attn_norm->apply(x, h);
+      record(l, RecordSite::kAttnIn, h);
+      maybe_quantize(ActivationSite::kPostLayerNorm, h);
+    });
+    gemm_stage(LayerPhase::kQkv, l,
+               {mat(layer.wq, s.h_, s.q_), mat(layer.wk, s.h_, s.k_),
+                mat(layer.wv, s.h_, s.v_)});
+    // Attention per sequence, rows in token order: row t's K/V write (and
+    // any quantized block rescale it causes) precedes its attend, and row
+    // t+1's write follows it — exactly a token-by-token run's order.
+    run_items(s.pieces_.size(), pool, profile, s.slots_, [&](std::size_t p) {
+      const ForwardScratch::Piece& piece = s.pieces_[p];
+      if (piece.chunk) piece.seq->begin_chunk_layer(l, piece.pos0);
+      for (std::size_t t = 0; t < piece.tokens.size(); ++t) {
+        attend_row(l, s, piece, t, recorder);
+      }
+    });
+    gemm_stage(LayerPhase::kAttend, l, {mat(layer.wo, s.z_, s.proj_)});
+
+    // --- FFN block (Fig 5(b)) ---
+    row_stage([&](std::size_t r) {
+      PhaseScope phase(KernelProfiler::slot(), LayerPhase::kNorm, l);
+      const std::span<float> x = row_of(s.x_, d, r);
+      kernels().axpy(1.0f, row_of(s.proj_, d, r).data(), x.data(), d);
+      const std::span<float> h = row_of(s.h_, d, r);
+      layer.ffn_norm->apply(x, h);
+      record(l, RecordSite::kFc1In, h);
+      maybe_quantize(ActivationSite::kPostLayerNorm, h);
+    });
+    gemm_stage(LayerPhase::kFfn, l, {mat(layer.w_fc1, s.h_, s.hidden_)});
+    row_stage([&](std::size_t r) {
+      PhaseScope phase(KernelProfiler::slot(), LayerPhase::kFfn, l);
+      const std::span<float> hidden = row_of(s.hidden_, d_ffn, r);
+      apply_activation(cfg.activation, hidden);
+      record(l, RecordSite::kFc2In, hidden);
+      maybe_quantize(ActivationSite::kGeneral, hidden);
+    });
+    gemm_stage(LayerPhase::kFfn, l, {mat(layer.w_fc2, s.hidden_, s.proj_)});
+  }
+
+  // --- Logits: final norm, tied embedding head, logit scale ---
+  row_stage([&](std::size_t r) {
+    PhaseScope phase(KernelProfiler::slot(), LayerPhase::kLogits);
+    const std::span<float> x = row_of(s.x_, d, r);
+    kernels().axpy(1.0f, row_of(s.proj_, d, r).data(), x.data(), d);
+    final_norm_->apply(x, row_of(s.h_, d, r));
+  });
+  // logit[v] = E[v,:] . h
+  gemm_stage(LayerPhase::kLogits, PhaseScope::kNoLayer,
+             {mat(model_->embedding(), s.h_, s.logits_)});
+  run_items(s.pieces_.size(), pool, profile, s.slots_, [&](std::size_t p) {
+    PhaseScope phase(KernelProfiler::slot(), LayerPhase::kLogits);
+    const ForwardScratch::Piece& piece = s.pieces_[p];
+    SequenceState& seq = *piece.seq;
+    for (std::size_t t = 0; t < piece.tokens.size(); ++t) {
+      const std::span<float> logits = row_of(s.logits_, vocab, piece.row0 + t);
+      kernels().scale(model_->logit_scale(), logits.data(), vocab);
+      const std::span<float> out =
+          piece.chunk ? seq.chunk_logits_row_mut(piece.item_offset + t)
+                      : std::span<float>(seq.logits_);
+      std::copy(logits.begin(), logits.end(), out.begin());
+    }
+    if (piece.chunk) seq.end_chunk();
+  });
+}
+
+void PreparedModel::forward(std::span<const ForwardItem> items,
+                            ForwardScratch& scratch, ThreadPool* pool,
+                            KernelProfile* profile,
+                            ActivationRecorder* recorder) const {
+  const auto& cfg = model_->config();
+  // Validate every item before any state changes.
+  for (const ForwardItem& item : items) {
+    require(item.seq != nullptr && !item.tokens.empty(),
+            "PreparedModel::forward: empty item");
+    for (const std::size_t token : item.tokens) {
+      require(token < cfg.vocab, "PreparedModel::forward: token out of range");
+    }
+    require(item.seq->d_model_ == cfg.d_model &&
+                item.seq->logits_.size() == cfg.vocab,
+            "PreparedModel::forward: state sized for a different model");
+    require(item.seq->position() + item.tokens.size() <=
+                item.seq->max_seq_len(),
+            "PreparedModel::forward: tokens exceed max_seq_len");
+  }
+  if (recorder != nullptr) pool = nullptr;  // recorders are not thread-safe
+  for (const ForwardItem& item : items) {
+    if (item.tokens.size() > 1) item.seq->begin_chunk(item.tokens.size());
+  }
+
+  // Pack rows into passes of at most kMaxPassRows, splitting an item across
+  // two passes when it straddles the boundary.
+  std::size_t next = 0, offset = 0;
+  while (next < items.size()) {
+    scratch.pieces_.clear();
+    std::size_t rows = 0;
+    while (next < items.size() && rows < kMaxPassRows) {
+      const ForwardItem& item = items[next];
+      const std::size_t take =
+          std::min(item.tokens.size() - offset, kMaxPassRows - rows);
+      ForwardScratch::Piece piece;
+      piece.seq = item.seq;
+      piece.tokens = item.tokens.subspan(offset, take);
+      piece.item_offset = offset;
+      piece.row0 = rows;
+      piece.chunk = item.tokens.size() > 1;
+      scratch.pieces_.push_back(piece);
+      rows += take;
+      offset += take;
+      if (offset == item.tokens.size()) {
+        ++next;
+        offset = 0;
+      }
+    }
+    forward_pass(scratch, rows, pool, profile, recorder);
+  }
+
+  // logits() keeps its "most recent decode" meaning for generation.
+  for (const ForwardItem& item : items) {
+    if (item.tokens.size() == 1) continue;
+    const auto last = item.seq->chunk_logits_row(item.tokens.size() - 1);
+    std::copy(last.begin(), last.end(), item.seq->logits_.begin());
+  }
 }
 
 std::span<const float> PreparedModel::step(SequenceState& seq,
                                            std::size_t token,
                                            ActivationRecorder* recorder) const {
-  const auto& cfg = model_->config();
-  require(token < cfg.vocab, "PreparedModel::step: token out of range");
-  require(seq.x_.size() == cfg.d_model && seq.logits_.size() == cfg.vocab,
-          "PreparedModel::step: sequence state sized for a different model");
-  const auto emb = model_->embedding().row(token);
-  std::copy(emb.begin(), emb.end(), seq.x_.begin());
-
-  seq.advance_cache();  // open this step's KV slot for every layer
-  const std::size_t pos = seq.position() - 1;
-  std::span<float> x = seq.x_;
-  for (std::size_t l = 0; l < cfg.n_layers; ++l) {
-    forward_token_layer(l, seq, x, pos, recorder);
-  }
-
-  finish_logits(seq, x, seq.logits_);
-  return seq.logits_;
+  return prefill_chunk(seq, std::span<const std::size_t>(&token, 1), recorder);
 }
 
 std::span<const float> PreparedModel::prefill_chunk(
     SequenceState& seq, std::span<const std::size_t> tokens,
     ActivationRecorder* recorder) const {
-  const auto& cfg = model_->config();
-  const std::size_t n = tokens.size();
-  require(n >= 1, "PreparedModel::prefill_chunk: empty chunk");
-  for (const std::size_t token : tokens) {
-    require(token < cfg.vocab,
-            "PreparedModel::prefill_chunk: token out of range");
-  }
-  require(seq.x_.size() == cfg.d_model && seq.logits_.size() == cfg.vocab,
-          "PreparedModel::prefill_chunk: state sized for a different model");
-
-  const std::size_t p0 = seq.position();
-  seq.begin_chunk(n);
-  seq.advance_cache_by(n);  // opens (and reserves) the whole chunk's KV
-  for (std::size_t t = 0; t < n; ++t) {
-    const auto emb = model_->embedding().row(tokens[t]);
-    std::copy(emb.begin(), emb.end(), seq.chunk_x_row(t).begin());
-  }
-
-  // Layer-major sweep: each weight matrix is loaded once per chunk and each
-  // layer's cached prefix is gathered once per chunk, yet every token's ops
-  // run in the token-by-token order *within* its own computation — token t
-  // writes its K/V at p0+t before attending over [0, p0+t], exactly like a
-  // step() at that position — so the results are bitwise identical to n
-  // single steps.
-  for (std::size_t l = 0; l < cfg.n_layers; ++l) {
-    seq.begin_chunk_layer(l, p0);
-    for (std::size_t t = 0; t < n; ++t) {
-      forward_token_layer(l, seq, seq.chunk_x_row(t), p0 + t, recorder);
-    }
-  }
-  seq.end_chunk();
-
-  for (std::size_t t = 0; t < n; ++t) {
-    finish_logits(seq, seq.chunk_x_row(t), seq.chunk_logits_row_mut(t));
-  }
-  // logits() keeps its "most recent decode" meaning for generation.
-  const auto last = seq.chunk_logits_row(n - 1);
-  std::copy(last.begin(), last.end(), seq.logits_.begin());
+  // One scratch per thread: the one-item wrappers stay thread-safe without
+  // allocating per call.
+  thread_local ForwardScratch scratch;
+  const ForwardItem item{&seq, tokens};
+  forward(std::span<const ForwardItem>(&item, 1), scratch, nullptr, nullptr,
+          recorder);
   return seq.logits_;
 }
 

@@ -3,10 +3,34 @@
 // A PreparedModel is built once per EngineConfig: it quantizes (OWQ or GPTQ)
 // or bf16-rounds every decoder weight, instantiates the norms and the
 // activation quantizers, and records the storage accounting. After
-// construction it is strictly read-only: step() is const and touches no
+// construction it is strictly read-only: forward() is const and touches no
 // member state, so any number of sequences (threads) can decode against one
 // PreparedModel concurrently. All per-sequence mutability lives in
-// SequenceState.
+// SequenceState, and a pass's activations in a caller-owned ForwardScratch.
+//
+// ## One forward pass over a ragged batch
+//
+// forward() runs every row of a ragged batch — a row is (sequence, token,
+// position), and a sequence contributes one decode row, a prefill chunk, or
+// a speculative verify burst — through the decoder together, stage by stage
+// per layer:
+//   norm rows -> Wq/Wk/Wv GEMM -> per-sequence attention -> Wo GEMM ->
+//   norm rows -> fc1 GEMM -> activation rows -> fc2 GEMM
+// and finally norm rows -> embedding GEMM -> logits rows. Each weight matrix
+// is read once per pass for all rows through KernelOps::gemm, whose every
+// output is bitwise the table's matvec (kernels.h). Row stages (norm,
+// residual add, activation, quantize) are row-local. The attention stage
+// keeps each sequence's token order: write K/V at row t, attend at row t,
+// then row t+1 — quantized KV blocks rescale on write, so this is exactly
+// the order a token-by-token run sees. Every row's result is therefore
+// bitwise identical to single steps, whatever the batch composition, the
+// pass split, or the thread count.
+//
+// With a ThreadPool, stages fan out over work items: GEMM output-row tiles,
+// rows, and (for attention) sequences — not whole sequences per thread, so
+// no straggler holds the step. Batches larger than kMaxPassRows rows run as
+// consecutive passes (a sequence's chunk may straddle two), which is
+// bitwise safe by the chunk == steps contract and bounds the scratch.
 #pragma once
 
 #include <cstddef>
@@ -16,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "common/kernel_profiler.h"
 #include "llm/kv_block_pool.h"
 #include "llm/norm.h"
 #include "llm/prefix_cache.h"
@@ -28,6 +53,7 @@
 namespace opal {
 
 class SequenceState;
+class ThreadPool;
 
 /// Tensors observable per decoder block; Fig 4's x-axis plus the two
 /// calibration-only taps.
@@ -97,8 +123,54 @@ struct EngineConfig {
   [[nodiscard]] std::string label() const;
 };
 
+/// One sequence's share of a ragged forward batch: `tokens` are fed at the
+/// sequence's next positions [position(), position() + tokens.size()).
+struct ForwardItem {
+  SequenceState* seq = nullptr;
+  std::span<const std::size_t> tokens;
+};
+
+/// Activation scratch of PreparedModel::forward: one row-major buffer per
+/// activation (rows x width) plus the pass's row map and per-work-item
+/// profiler slots. Grow-only and bounded by PreparedModel::kMaxPassRows rows,
+/// so a serving engine owns one and reuses it every step with no steady-state
+/// allocation. Not thread-safe: one forward() at a time per scratch.
+class ForwardScratch {
+ private:
+  friend class PreparedModel;
+
+  /// A contiguous run of one item's rows inside the current pass.
+  struct Piece {
+    SequenceState* seq = nullptr;
+    std::span<const std::size_t> tokens;
+    std::size_t item_offset = 0;  // index of tokens[0] within its item
+    std::size_t row0 = 0;         // first scratch row of the piece
+    std::size_t pos0 = 0;         // KV position of tokens[0]
+    bool chunk = false;           // the item has more than one row
+  };
+  /// One gemm work item: output rows [r0, r1) of y = W x over all rows.
+  struct GemmTile {
+    const float* w = nullptr;
+    std::size_t r0 = 0, r1 = 0, ldy = 0, cols = 0;
+    const float* x = nullptr;
+    float* y = nullptr;
+  };
+
+  std::vector<float> x_, h_, q_, k_, v_, z_, proj_, hidden_, logits_;
+  std::vector<Piece> pieces_;
+  std::vector<GemmTile> tiles_;
+  std::vector<KernelProfile> slots_;
+};
+
 class PreparedModel {
  public:
+  /// Rows one forward pass holds at most; larger batches run as
+  /// consecutive passes (bitwise identical, see the header comment).
+  static constexpr std::size_t kMaxPassRows = 64;
+  /// Output rows of one GEMM work item (a thread tile). Fixed, so a pass's
+  /// work items do not depend on the thread count.
+  static constexpr std::size_t kGemmTileRows = 32;
+
   /// `calibration`, when given, drives OWQ's FP-column selection; otherwise
   /// weight energy is used. The prepared model keeps a reference to `model`.
   PreparedModel(const SyntheticModel& model, EngineConfig config,
@@ -109,32 +181,43 @@ class PreparedModel {
   PreparedModel(const SyntheticModel& model, EngineConfig config,
                 const HessianSet& hessians);
 
-  /// Runs one decode step for `seq`; returns logits over the vocabulary.
-  /// The returned span points into `seq`'s logits buffer and is valid until
-  /// the next step() with the same state. Const and thread-safe: concurrent
-  /// calls are fine as long as each thread passes a distinct SequenceState.
+  /// Feeds every item's tokens through the model in one batch-major pass
+  /// (see the header comment). Per item, the results are bitwise those of
+  /// tokens.size() single steps: a one-token item leaves its logits in
+  /// seq.logits(); a multi-token item leaves position i's logits in
+  /// seq.chunk_logits_row(i) and the last one also in seq.logits(), so a
+  /// sampler extending the sequence (llm/sampler.h) reads the same handoff
+  /// however the frontier was reached.
+  ///
+  /// Items must name distinct sequences. Tokens and max_seq_len are checked
+  /// for every item before any state changes; KV blocks not pre-acquired
+  /// with reserve_for() are taken per pass (KvPoolExhausted on a dry pool —
+  /// a serving layer reserves up front so its forward never touches the
+  /// pool). `pool` (nullable) fans the work items out over threads; the
+  /// result bits do not depend on it. `profile`, when given, receives every
+  /// work item's kernel and phase samples, each item timed into its own
+  /// slot and merged serially; without it, a serial pass records into
+  /// whatever slot the calling thread has bound. `recorder`, when given,
+  /// forces a serial pass and observes activations layer-major (layer 0 for
+  /// all rows, then layer 1, ...); within a layer each site is reported for
+  /// the rows in order, and a one-row pass reports exactly a step's order.
+  /// Const and thread-safe: concurrent calls are fine with distinct
+  /// sequences and distinct scratches.
+  void forward(std::span<const ForwardItem> items, ForwardScratch& scratch,
+               ThreadPool* pool = nullptr, KernelProfile* profile = nullptr,
+               ActivationRecorder* recorder = nullptr) const;
+
+  /// One decode step for `seq`: forward() over a single one-token item.
+  /// Returns logits over the vocabulary, pointing into `seq`'s logits buffer
+  /// (valid until the next pass over the same state).
   std::span<const float> step(SequenceState& seq, std::size_t token,
                               ActivationRecorder* recorder = nullptr) const;
 
-  /// Chunked prefill: feeds `tokens` — the next known tokens at `seq`'s
-  /// current position — in one multi-token call, processing the chunk layer
-  /// by layer so each weight matrix and each layer's cached KV prefix is
-  /// visited once per chunk instead of once per token. Every per-token
-  /// arithmetic operation (and, in quantized kv_modes, every block-scale
-  /// update and read-back) happens in the same order a token-by-token
-  /// step() loop would produce, so the results — cache contents and all
-  /// chunk logits — are bitwise identical to tokens.size() single steps in
-  /// every kv_mode. Returns the final token's logits (same span as
-  /// logits()); per-position logits are at seq.chunk_logits_row(i). The
-  /// chunk-final logits land in seq.logits() exactly as a step() would
-  /// leave them, so a sampler extending the sequence (llm/sampler.h) reads
-  /// the same handoff regardless of whether the frontier was reached by
-  /// single steps or a chunk.
-  /// Blocks for the whole chunk are acquired up front (all-or-nothing
-  /// KvPoolExhausted on a dry pool, unless reserve_for() pre-acquired
-  /// them). `recorder`, when given, observes activations layer-major
-  /// (layer 0 for all chunk tokens, then layer 1, ...) instead of
-  /// token-major. Const and thread-safe like step().
+  /// Chunked prefill: forward() over a single item feeding `tokens`, the
+  /// next known tokens at `seq`'s current position. Bitwise identical to
+  /// tokens.size() single steps in every kv_mode; returns the final token's
+  /// logits (same span as seq.logits()), per-position logits at
+  /// seq.chunk_logits_row(i).
   std::span<const float> prefill_chunk(
       SequenceState& seq, std::span<const std::size_t> tokens,
       ActivationRecorder* recorder = nullptr) const;
@@ -185,17 +268,18 @@ class PreparedModel {
   void finish_construction();
   void prepare_layers(const CalibrationSet* calibration);
   void prepare_layers_gptq(const HessianSet& hessians);
-  /// One token through layer `l`: writes its K/V at cache position `pos`
-  /// and attends over [0, pos+1). step() calls it token-major (all layers
-  /// for one token), prefill_chunk layer-major (all chunk tokens for one
-  /// layer); the per-token arithmetic is identical either way.
-  void forward_token_layer(std::size_t l, SequenceState& seq,
-                           std::span<float> x, std::size_t pos,
-                           ActivationRecorder* recorder) const;
+  /// One pass of at most kMaxPassRows rows, described by scratch.pieces_.
+  void forward_pass(ForwardScratch& s, std::size_t rows, ThreadPool* pool,
+                    KernelProfile* profile,
+                    ActivationRecorder* recorder) const;
+  /// Row `row` of the pass through attention at layer `l`: quantizes its
+  /// Q/K/V, writes K/V at its position, attends over the prefix, and leaves
+  /// the quantized attention output in the z buffer.
+  void attend_row(std::size_t l, ForwardScratch& s,
+                  const ForwardScratch::Piece& piece, std::size_t t,
+                  ActivationRecorder* recorder) const;
   void attend(std::size_t l, SequenceState& seq, std::span<const float> q,
               std::span<float> z, std::size_t len) const;
-  void finish_logits(SequenceState& seq, std::span<const float> x,
-                     std::span<float> out) const;
   void maybe_quantize(ActivationSite site, std::span<float> v) const;
 
   const SyntheticModel* model_;

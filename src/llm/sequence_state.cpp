@@ -5,16 +5,8 @@
 namespace opal {
 
 void SequenceState::init_scratch(const ModelConfig& config) {
-  x_.resize(config.d_model);
-  h_.resize(config.d_model);
-  q_.resize(config.d_model);
-  k_.resize(config.d_model);
-  v_.resize(config.d_model);
-  z_.resize(config.d_model);
-  hidden_.resize(config.d_ffn);
+  d_model_ = config.d_model;
   logits_.resize(config.vocab);
-  attn_out_.resize(config.d_model);
-  ffn_out_.resize(config.d_model);
   scores_.resize(max_seq_len_);
   probs_.resize(max_seq_len_);
 }
@@ -48,8 +40,7 @@ void SequenceState::begin_spec_capture(std::size_t n_tokens) {
   // fp32 (and dense) KV needs no capture: writes are row-local, so
   // truncate() alone rewinds bitwise.
   if (!paged_ || paged_->pool().mode() == KvQuantMode::kFp32) return;
-  const std::size_t d = k_.size();
-  const std::size_t need = n_layers_ * n_tokens * d;
+  const std::size_t need = n_layers_ * n_tokens * d_model_;
   if (spec_rows_k_.size() < need) {
     spec_rows_k_.resize(need);
     spec_rows_v_.resize(need);
@@ -94,7 +85,7 @@ void SequenceState::spec_rollback(std::size_t new_len) {
           "SequenceState::spec_rollback: no speculative capture active");
   const std::size_t col = new_len / bs;
   const std::size_t from = std::max(col * bs, spec_base_);
-  const std::size_t d = k_.size();
+  const std::size_t d = d_model_;
   for (std::size_t l = 0; l < n_layers_; ++l) {
     if (spec_snap_valid_ && col == spec_base_ / bs) {
       paged_->restore_block_column(l, col, spec_snap_k_[l], spec_snap_v_[l]);
@@ -137,8 +128,7 @@ void SequenceState::gather_into_scratch(std::size_t layer, std::size_t from,
 
 void SequenceState::begin_chunk(std::size_t n) {
   chunk_tokens_ = n;
-  // Grow-only: chunk buffers keep their high-water capacity across chunks.
-  if (chunk_x_.size() < n * x_.size()) chunk_x_.resize(n * x_.size());
+  // Grow-only: the buffer keeps its high-water capacity across chunks.
   if (chunk_logits_.size() < n * logits_.size()) {
     chunk_logits_.resize(n * logits_.size());
   }
@@ -165,7 +155,7 @@ void SequenceState::write_kv_at(std::size_t layer, std::size_t pos,
     // Record the fp32 inputs so a speculative rollback can replay the kept
     // rows through a restored boundary block (see spec_rollback).
     const std::size_t idx =
-        (layer * spec_cap_ + (pos - spec_base_)) * k_.size();
+        (layer * spec_cap_ + (pos - spec_base_)) * d_model_;
     std::copy(k.begin(), k.end(), spec_rows_k_.begin() + idx);
     std::copy(v.begin(), v.end(), spec_rows_v_.begin() + idx);
   }

@@ -1,7 +1,8 @@
-// Per-sequence mutable decode state: the KV cache plus the scratch buffers
-// one decode step writes through. Cheap to create and reset, so a serving
-// layer can keep one per in-flight request while every sequence shares a
-// single immutable PreparedModel.
+// Per-sequence mutable decode state: the KV cache, the logits of the most
+// recent pass, and the attention scratch. Cheap to create and reset, so a
+// serving layer can keep one per in-flight request while every sequence
+// shares a single immutable PreparedModel (whose forward pass keeps the
+// row activations in a ForwardScratch, not here).
 //
 // The KV backend is either the dense KvCache (max_seq_len rows reserved up
 // front; the single-sequence facade's default) or a PagedKvCache drawing
@@ -23,8 +24,9 @@
 // All paths feed attention the same values in the same order, so the paged
 // fp32 path stays bitwise identical to dense.
 //
-// Chunked prefill (PreparedModel::prefill_chunk) processes N known tokens
-// layer by layer through one state. When gather is forced, the chunk
+// A multi-token item of PreparedModel::forward (a prefill chunk or a verify
+// burst) processes N known tokens layer by layer through one state. When
+// gather is forced, the chunk
 // protocol below keeps the quantized gather scratch exact without
 // re-gathering the whole prefix per token: begin_chunk_layer() gathers the
 // pre-chunk prefix once, and each write_kv_at() re-reads just the written
@@ -74,7 +76,7 @@ class SequenceState {
 
   // --- speculative decode-verify rollback (ServingEngine) ---
   //
-  // A speculative burst feeds 1 + k tokens through prefill_chunk and may
+  // A speculative burst feeds 1 + k tokens as one forward item and may
   // commit only the first C of them. In fp32 (and dense) KV, truncate()
   // alone rewinds exactly — writes are row-local. In quantized modes the
   // rejected rows can have GROWN the boundary block's scale and rescaled
@@ -137,16 +139,17 @@ class SequenceState {
     if (paged_) paged_->reserve_for(n);
   }
 
-  /// Logits produced by the most recent PreparedModel::step (or the final
-  /// position of the most recent prefill_chunk) with this state — zeros
-  /// before the first step.
+  /// Logits of the last row the most recent PreparedModel::forward fed
+  /// through this state (a step's, or a chunk's final position) — zeros
+  /// before the first pass.
   [[nodiscard]] std::span<const float> logits() const { return logits_; }
 
-  /// Tokens the most recent prefill_chunk processed (0 before the first).
+  /// Tokens the most recent multi-token forward item fed (0 before the
+  /// first).
   [[nodiscard]] std::size_t chunk_tokens() const { return chunk_tokens_; }
   /// Logits of chunk position `i` (the logits observed after feeding the
-  /// chunk's i-th token); valid until the next step()/prefill_chunk() with
-  /// this state.
+  /// chunk's i-th token); valid until the next multi-token pass with this
+  /// state.
   [[nodiscard]] std::span<const float> chunk_logits_row(std::size_t i) const {
     require(i < chunk_tokens_,
             "SequenceState::chunk_logits_row: row out of range");
@@ -204,23 +207,19 @@ class SequenceState {
   void gather_into_scratch(std::size_t layer, std::size_t from,
                            std::size_t to);
 
-  // --- chunk protocol (driven by PreparedModel::prefill_chunk) ---
-  /// Sizes the chunk activation/logits buffers for `n` tokens.
+  // --- chunk protocol (driven by PreparedModel::forward) ---
+  /// Sizes the chunk logits buffer for `n` tokens.
   void begin_chunk(std::size_t n);
   /// Prepares `layer` for in-chunk attends: quantized paths gather the
   /// pre-chunk prefix [0, prefix_len) once; write_kv_at keeps it fresh.
   void begin_chunk_layer(std::size_t layer, std::size_t prefix_len);
   /// Leaves chunk mode: attend_view() re-gathers fully again.
   void end_chunk() { chunk_layer_ = kNoChunkLayer; }
-  [[nodiscard]] std::span<float> chunk_x_row(std::size_t i) {
-    return std::span<float>(chunk_x_).subspan(i * x_.size(), x_.size());
-  }
   [[nodiscard]] std::span<float> chunk_logits_row_mut(std::size_t i) {
     return std::span<float>(chunk_logits_)
         .subspan(i * logits_.size(), logits_.size());
   }
 
-  void advance_cache() { dense_ ? dense_->advance() : paged_->advance(); }
   void advance_cache_by(std::size_t n) {
     dense_ ? dense_->advance_by(n) : paged_->advance_by(n);
   }
@@ -232,6 +231,7 @@ class SequenceState {
 
   std::size_t max_seq_len_;
   std::size_t n_layers_ = 0;
+  std::size_t d_model_ = 0;
   SamplerState sampler_state_;
   std::optional<KvCache> dense_;
   std::optional<PagedKvCache> paged_;
@@ -252,18 +252,16 @@ class SequenceState {
   std::vector<KvSegment> segments_;  // attend_view scratch
   bool force_gather_ = false;
   std::size_t gather_count_ = 0;
-  // Chunk state: the layer whose gather scratch prefill_chunk currently
-  // maintains incrementally (kNoChunkLayer outside a chunk).
+  // Chunk state: the layer whose gather scratch a multi-token forward item
+  // currently maintains incrementally (kNoChunkLayer outside a chunk).
   static constexpr std::size_t kNoChunkLayer = static_cast<std::size_t>(-1);
   std::size_t chunk_layer_ = kNoChunkLayer;
   std::size_t chunk_tokens_ = 0;
-  std::vector<float> chunk_x_;       // [chunk_tokens x d_model] residuals
   std::vector<float> chunk_logits_;  // [chunk_tokens x vocab]
-  // Scratch buffers reused across steps (sized once at construction); the
-  // decode hot path performs no heap allocation.
-  std::vector<float> x_, h_, q_, k_, v_, z_, hidden_, logits_;
-  std::vector<float> attn_out_, ffn_out_;  // d_model
-  std::vector<float> scores_, probs_;      // max_seq_len
+  // Sized once at construction; the decode hot path performs no heap
+  // allocation.
+  std::vector<float> logits_;          // vocab
+  std::vector<float> scores_, probs_;  // max_seq_len
 };
 
 }  // namespace opal

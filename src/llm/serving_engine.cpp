@@ -101,6 +101,7 @@ ServingEngine::ServingEngine(std::shared_ptr<const PreparedModel> model,
   em_.decode_ms = &registry_.histogram("serving.decode_ms");
   em_.prefill_chunk_ms = &registry_.histogram("serving.prefill_chunk_ms");
   em_.spec_verify_ms = &registry_.histogram("serving.spec_verify_ms");
+  em_.forward_ms = &registry_.histogram("serving.forward_ms");
   scheduler_->bind_metrics(registry_);
   kv_pool_->bind_metrics(registry_);
   if (prefix_cache_ != nullptr) prefix_cache_->bind_metrics(registry_);
@@ -687,64 +688,42 @@ std::size_t ServingEngine::step() {
       batch_[i].state->begin_spec_capture(budgets_[i]);
     }
   }
-  decode_end_us_.resize(batch_.size());
-  decode_dur_us_.resize(batch_.size());
-  if (profiling_) {
-    // Per-slot profiling scratch, cleared in place (capacity is retained,
-    // so steady-state steps allocate nothing).
-    profile_slots_.resize(batch_.size());
-    for (KernelProfile& slot : profile_slots_) slot.clear();
-  }
-
-  // Parallel phase: decode each sequence's budget — one token through
-  // step(), a multi-token chunk through prefill_chunk() (bitwise identical
-  // to that many single steps). A speculative burst feeds its planned
-  // [frontier, drafts...] list the same way; a burst whose budget pressure
-  // shrank to 1 feeds spec_drafts[0] == tokens[fed] — the plain step.
-  // Disjoint SequenceStates against a const PreparedModel — safe and
-  // bitwise order-independent.
-  auto decode_one = [this](std::size_t i) {
+  // One batch-major forward over every running sequence's rows: a decode
+  // row, a prefill chunk, or a speculative burst [frontier, drafts...] (a
+  // burst pressure shrank to 1 feeds spec_drafts[0] == tokens[fed], the
+  // plain step). Work fans out over GEMM tiles, rows, and per-sequence
+  // attention inside the model; every row is bitwise what a solo step
+  // produces, whatever the batch or the thread count.
+  forward_items_.clear();
+  for (std::size_t i = 0; i < batch_.size(); ++i) {
     Sequence& seq = batch_[i];
-    const std::size_t n = budgets_[i];
-    // Per-slot timing into disjoint scratch slots: the registry itself is
-    // only touched later, on the serial phase. Profiling samples follow the
-    // same discipline: this thread's slot scratch is bound for exactly the
-    // model pass, merged serially below.
-    if (profiling_) KernelProfiler::bind_slot(&profile_slots_[i]);
-    const std::uint64_t t0 = trace_.now_us();
-    if (!seq.spec_drafts.empty() && n > 1) {
-      model_->prefill_chunk(
-          *seq.state, std::span<const std::size_t>(seq.spec_drafts).first(n));
-    } else if (n == 1) {
-      model_->step(*seq.state, seq.result.tokens[seq.fed]);
-    } else {
-      model_->prefill_chunk(
-          *seq.state,
-          std::span<const std::size_t>(seq.result.tokens).subspan(seq.fed, n));
-    }
-    decode_end_us_[i] = trace_.now_us();
-    decode_dur_us_[i] = decode_end_us_[i] - t0;
-    if (profiling_) KernelProfiler::bind_slot(nullptr);
-  };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(batch_.size(), decode_one);
-  } else {
-    for (std::size_t i = 0; i < batch_.size(); ++i) decode_one(i);
+    const std::span<const std::size_t> tokens =
+        seq.spec_drafts.empty()
+            ? std::span<const std::size_t>(seq.result.tokens)
+                  .subspan(seq.fed, budgets_[i])
+            : std::span<const std::size_t>(seq.spec_drafts)
+                  .first(budgets_[i]);
+    forward_items_.push_back({seq.state.get(), tokens});
   }
+  if (profiling_) step_profile_.clear();
+  const std::uint64_t forward_t0_us = trace_.now_us();
+  model_->forward(forward_items_, forward_scratch_, pool_.get(),
+                  profiling_ ? &step_profile_ : nullptr);
+  const std::uint64_t forward_end_us = trace_.now_us();
+  const std::uint64_t forward_us = forward_end_us - forward_t0_us;
+  em_.forward_ms->observe(static_cast<double>(forward_us) / 1000.0);
   if (profiling_) {
-    // Serial merge of the fan-out's per-slot samples: the run total and the
-    // profile.* counters advance only here, never off the serial phase.
-    for (const KernelProfile& slot : profile_slots_) {
-      profile_total_.merge(slot);
-      for (std::size_t k = 0; k < kKernelKindCount; ++k) {
-        pm_.kernel_calls[k]->add(slot.kernels[k].calls);
-        pm_.kernel_elems[k]->add(slot.kernels[k].elems);
-        pm_.kernel_ns[k]->add(slot.kernels[k].ns);
-      }
-      for (std::size_t p = 0; p < kLayerPhaseCount; ++p) {
-        pm_.phase_calls[p]->add(slot.phases[p].calls);
-        pm_.phase_ns[p]->add(slot.phases[p].ns);
-      }
+    // Serial merge of the pass's per-work-item samples: the run total and
+    // the profile.* counters advance only here, never off the serial phase.
+    profile_total_.merge(step_profile_);
+    for (std::size_t k = 0; k < kKernelKindCount; ++k) {
+      pm_.kernel_calls[k]->add(step_profile_.kernels[k].calls);
+      pm_.kernel_elems[k]->add(step_profile_.kernels[k].elems);
+      pm_.kernel_ns[k]->add(step_profile_.kernels[k].ns);
+    }
+    for (std::size_t p = 0; p < kLayerPhaseCount; ++p) {
+      pm_.phase_calls[p]->add(step_profile_.phases[p].calls);
+      pm_.phase_ns[p]->add(step_profile_.phases[p].ns);
     }
   }
 
@@ -760,6 +739,11 @@ std::size_t ServingEngine::step() {
     return std::chrono::duration<double, std::milli>(d).count();
   };
   std::size_t rows_fed_total = 0;
+  for (std::size_t i = 0; i < decoded; ++i) rows_fed_total += budgets_[i];
+  // Each sequence is charged the pass's worker time by its share of rows,
+  // so the pass histograms (and trace dur_us) sum to forward time x workers.
+  const std::uint64_t worker_us =
+      forward_us * std::max<std::size_t>(config_.n_threads, 1);
   fed_pos_.resize(decoded);
   if (emitted_.size() < decoded) emitted_.resize(decoded);
   for (std::size_t i = 0; i < decoded; ++i) emitted_[i].clear();
@@ -770,7 +754,6 @@ std::size_t ServingEngine::step() {
     fed_pos_[i] = seq.fed;  // first position fed this step
     stat_tokens_ += n;      // rows executed, including rejected verify rows
     em_.tokens_decoded->add(n);
-    rows_fed_total += n;
     auto& prio = prio_stats_[seq.priority];
     if (!seq.wait_counted) {
       seq.wait_counted = true;
@@ -890,8 +873,10 @@ std::size_t ServingEngine::step() {
       }
       seq.last_token_tp = now_tp;
     }
-    // Per-slot model-pass cost, from the parallel phase's scratch.
-    const double pass_ms = static_cast<double>(decode_dur_us_[i]) / 1000.0;
+    // This sequence's row share of the pass's worker time.
+    const double pass_ms = static_cast<double>(worker_us) / 1000.0 *
+                           static_cast<double>(n) /
+                           static_cast<double>(rows_fed_total);
     if (spec) {
       em_.spec_verify_ms->observe(pass_ms);
     } else if (n > 1) {
@@ -902,8 +887,8 @@ std::size_t ServingEngine::step() {
     trace_.emit({.kind = spec ? TraceEventKind::kSpecBurst
                               : (n > 1 ? TraceEventKind::kChunk
                                        : TraceEventKind::kDecode),
-                 .ts_us = decode_end_us_[i],
-                 .dur_us = decode_dur_us_[i],
+                 .ts_us = forward_end_us,
+                 .dur_us = worker_us * n / rows_fed_total,
                  .step = step_counter_,
                  .request = seq.id,
                  .a = n,

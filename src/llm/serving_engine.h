@@ -7,10 +7,13 @@
 // in the same batch. A slot freed by a completed sequence is refilled from
 // the queue at the start of the next step (the newly admitted sequence
 // would not decode any earlier if admitted sooner); a KV-exhaustion
-// eviction refills within the same step. With n_threads > 0 the
-// per-sequence decodes fan out across a thread pool; because
-// PreparedModel::step is const and per-sequence state is disjoint, the
-// results are bitwise identical to the serial schedule.
+// eviction refills within the same step. Each step feeds every running
+// sequence's rows (decode, prefill chunk, or speculative burst) through ONE
+// batch-major PreparedModel::forward, so each weight matrix is read once per
+// step for the whole batch. With n_threads > 0 that pass fans out across a
+// thread pool by GEMM tiles, rows, and per-sequence attention; the results
+// are bitwise identical to the serial schedule and to a solo run of each
+// request.
 //
 // Scheduling is a pluggable policy (ServingConfig::scheduler, see
 // scheduler.h): each step the engine asks the scheduler which queued
@@ -88,7 +91,7 @@
 //   * admission requires free blocks for the candidate's next step, not
 //     just a free batch slot;
 //   * before each decode, every running sequence's blocks for its budget
-//     are reserved serially (the parallel decode phase never touches the
+//     are reserved serially (the parallel model pass never touches the
 //     pool);
 //   * when the pool cannot cover the batch's next step even at budget 1,
 //     the scheduler's victim is preempted — its blocks return to the pool
@@ -143,10 +146,19 @@
 //     the subsystems' own counters (prefix_cache.*, kv_pool.*,
 //     scheduler.*, drafter.*);
 //   * wall-clock latency histograms (serving.queue_wait_ms / ttft_ms /
-//     itl_ms / step_ms / decode_ms / prefill_chunk_ms / spec_verify_ms)
-//     with p50/p95/p99 extraction — TTFT and inter-token latency are
-//     measured per sampled token, chunk and spec-verify costs per model
-//     pass, step_ms per decoding step.
+//     itl_ms / step_ms / forward_ms / decode_ms / prefill_chunk_ms /
+//     spec_verify_ms) with p50/p95/p99 extraction — TTFT and inter-token
+//     latency are measured per sampled token, step_ms per decoding step,
+//     forward_ms per batch-major model pass (wall time). The pass
+//     histograms decode_ms / prefill_chunk_ms / spec_verify_ms get one
+//     sample per sequence per step: the pass's WORKER time (forward wall
+//     time x max(n_threads, 1)) charged by the sequence's share of the
+//     pass's rows. So their sums add up to forward_ms' sum x workers, and
+//     a row of any kind costs the same — per-row cost, fan-out efficiency
+//     (pass worker time / step time x workers) and the engine's own time
+//     outside the pass all keep their meaning now that a pass no longer
+//     runs one sequence per thread. Trace decode/chunk/spec-burst events
+//     carry the same share as dur_us and the pass end as ts_us.
 // Structured tracing (ServingConfig::trace, or the OPAL_TRACE env var)
 // records per-request lifecycle events (enqueue, admit, prefix-hit, chunk,
 // decode, spec-burst, budget-shrink, preempt, evict, finish) and one
@@ -157,9 +169,10 @@
 // control flow, so an instrumented run is bitwise identical to an
 // uninstrumented one — metrics are always on (cheap integer bumps and a
 // handful of clock reads per step), tracing is opt-in and costs one
-// predictable branch per event when off. Timing of the parallel decode
-// phase is captured into per-slot scratch and observed serially, so the
-// registry needs no synchronization (see metrics.h).
+// predictable branch per event when off. The model pass is timed around
+// the whole forward on the serial phase, and its profiler samples land in
+// per-work-item slots merged serially, so the registry needs no
+// synchronization (see metrics.h).
 #pragma once
 
 #include <array>
@@ -233,8 +246,8 @@ struct RequestResult {
 struct ServingConfig {
   /// Maximum concurrently running sequences (batch slots).
   std::size_t max_batch = 8;
-  /// Worker threads for the per-step decode fan-out; 0 = serial decode on
-  /// the calling thread.
+  /// Worker threads the per-step model pass fans out over (the calling
+  /// thread helps); 0 = serial pass on the calling thread.
   std::size_t n_threads = 0;
   /// KV block budget when the engine builds its own pool: 0 sizes the pool
   /// for max_batch sequences at full max_seq_len (no preemption possible —
@@ -460,9 +473,9 @@ class ServingEngine {
   /// (ServingConfig::profile or OPAL_PROFILE).
   [[nodiscard]] bool profiling() const { return profiling_; }
   /// The run's accumulated kernel/layer profile: per-kernel-kind
-  /// call/element/wall-clock counts and per-layer phase timings, merged
-  /// serially from the decode fan-out's per-slot scratch each step. All
-  /// zero unless profiling(). Serial-phase only, like stats().
+  /// call/element/wall-clock counts and per-layer phase timings (worker
+  /// time), merged serially from the model pass's per-work-item slots each
+  /// step. All zero unless profiling(). Serial-phase only, like stats().
   [[nodiscard]] const KernelProfile& profile() const {
     return profile_total_;
   }
@@ -686,6 +699,7 @@ class ServingEngine {
     Histogram* decode_ms = nullptr;
     Histogram* prefill_chunk_ms = nullptr;
     Histogram* spec_verify_ms = nullptr;
+    Histogram* forward_ms = nullptr;
   };
   EngineMetrics em_;
   /// profile.* counter handles, registered (and non-null) only while
@@ -699,16 +713,15 @@ class ServingEngine {
   };
   ProfileMetrics pm_;
   bool profiling_ = false;
-  /// Per-slot profiling scratch (parallel decode phase, disjoint indices)
-  /// and the serial-phase run total the slots merge into.
-  std::vector<KernelProfile> profile_slots_;
+  /// The current pass's profile (its work items merge into it) and the
+  /// serial-phase run total it merges into.
+  KernelProfile step_profile_;
   KernelProfile profile_total_;
   std::size_t kv_row_bytes_ = 0;  // KV bytes one fed row writes (all layers)
-  // Per-slot timing scratch: written by the parallel decode phase (distinct
-  // indices per slot), observed into histograms serially — the registry
-  // itself is never touched off the serial phase.
-  std::vector<std::uint64_t> decode_end_us_;
-  std::vector<std::uint64_t> decode_dur_us_;
+  /// Batch activations of the model pass, reused every step (bounded by
+  /// PreparedModel::kMaxPassRows rows), and the pass's item list.
+  ForwardScratch forward_scratch_;
+  std::vector<ForwardItem> forward_items_;
   std::shared_ptr<Scheduler> scheduler_;
   std::unique_ptr<ThreadPool> pool_;  // null when n_threads == 0
   std::shared_ptr<KvBlockPool> kv_pool_;

@@ -3,6 +3,9 @@
 //  * the dispatched SIMD table matches the scalar reference within
 //    reduction-reorder tolerance across odd lengths, unaligned spans, and
 //    tails;
+//  * the multi-row gemm is BITWISE equal to the same table's matvec for
+//    every output, across activation-row counts, column tails, odd weight
+//    row counts, and thread-tile sub-ranges;
 //  * fused dequantize-dot kernels are BITWISE equal to decode-into-scratch
 //    then plain-kernel, within each table — the guarantee the quantized
 //    attend path builds on;
@@ -16,8 +19,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <memory>
 #include <vector>
 
@@ -40,6 +45,14 @@ std::vector<float> rand_vec(std::size_t n) {
   std::vector<float> v(n);
   for (auto& x : v) x = frand();
   return v;
+}
+
+// The table's dot product, reached through a one-row matvec.
+float table_dot(const KernelOps& ops, const float* a, const float* b,
+                std::size_t n) {
+  float y = 0.0f;
+  ops.matvec(a, 1, n, b, &y);
+  return y;
 }
 
 std::vector<std::int8_t> rand_codes(std::size_t n, bool log2_mode) {
@@ -86,7 +99,7 @@ TEST(Kernels, ScalarTableAlwaysAvailable) {
   for (std::size_t i = 0; i < 16; ++i) {
     ref += static_cast<double>(a[i]) * static_cast<double>(b[i]);
   }
-  EXPECT_EQ(ops.dot(a.data(), b.data(), 16), static_cast<float>(ref));
+  EXPECT_EQ(table_dot(ops, a.data(), b.data(), 16), static_cast<float>(ref));
 }
 
 // --- dispatched vs scalar: tolerance across lengths / alignments ------------
@@ -105,31 +118,26 @@ TEST(KernelsSimd, DotMatchesScalarAcrossLengthsAndAlignment) {
     const auto a = rand_vec(n + 3), b = rand_vec(n + 3);
     for (const std::size_t off : {std::size_t{0}, std::size_t{1},
                                   std::size_t{3}}) {
-      expect_near_rel(simd->dot(a.data() + off, b.data() + off, n),
-                      ref.dot(a.data() + off, b.data() + off, n), "dot", n);
+      expect_near_rel(table_dot(*simd, a.data() + off, b.data() + off, n),
+                      table_dot(ref, a.data() + off, b.data() + off, n),
+                      "dot", n);
     }
   }
 }
 
-TEST(KernelsSimd, MatvecBothOrientationsMatchScalar) {
+TEST(KernelsSimd, MatvecMatchesScalar) {
   const KernelOps* simd = simd_kernels();
   if (simd == nullptr) GTEST_SKIP() << "no SIMD table on this CPU";
   const KernelOps& ref = scalar_kernels();
   for (const std::size_t cols : {3u, 8u, 17u, 33u}) {
     for (const std::size_t rows : {1u, 5u, 16u}) {
       const auto w = rand_vec(rows * cols);
-      const auto x = rand_vec(cols), xt = rand_vec(rows);
+      const auto x = rand_vec(cols);
       std::vector<float> y_simd(rows), y_ref(rows);
       simd->matvec(w.data(), rows, cols, x.data(), y_simd.data());
       ref.matvec(w.data(), rows, cols, x.data(), y_ref.data());
       for (std::size_t r = 0; r < rows; ++r) {
         expect_near_rel(y_simd[r], y_ref[r], "matvec", cols);
-      }
-      std::vector<float> t_simd(cols), t_ref(cols);
-      simd->matvec_transposed(w.data(), rows, cols, xt.data(), t_simd.data());
-      ref.matvec_transposed(w.data(), rows, cols, xt.data(), t_ref.data());
-      for (std::size_t c = 0; c < cols; ++c) {
-        expect_near_rel(t_simd[c], t_ref[c], "matvec_transposed", cols);
       }
     }
   }
@@ -188,6 +196,62 @@ TEST(KernelsSimd, AttendPrimitivesMatchScalar) {
   }
 }
 
+// --- gemm == matvec, bitwise, per table -------------------------------------
+
+std::uint32_t bits_of(float f) { return std::bit_cast<std::uint32_t>(f); }
+
+// Every output of gemm over n activation rows — the whole matrix, then a
+// thread tile [r0, r1) on its own — must carry exactly the bits of the same
+// table's matvec of that activation row.
+void check_gemm_bitwise(const KernelOps& ops) {
+  const float kSentinel = -12345.0f;
+  // cols % 8 in {0, 3, 7}; odd weight-row counts; 512 columns make the
+  // AVX2 kernel's weight tile (32 rows) smaller than the 67-row matrix.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {37, 64}, {37, 35}, {37, 23}, {5, 3}, {67, 512}};
+  for (const auto& [rows, cols] : shapes) {
+    const auto w = rand_vec(rows * cols);
+    for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 8u, 16u, 17u}) {
+      const auto x = rand_vec(n * cols);
+      std::vector<float> want(n * rows);
+      for (std::size_t b = 0; b < n; ++b) {
+        ops.matvec(w.data(), rows, cols, x.data() + b * cols,
+                   want.data() + b * rows);
+      }
+      std::vector<float> got(n * rows, kSentinel);
+      ops.gemm(w.data(), rows, cols, x.data(), n, got.data(), rows);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(bits_of(got[i]), bits_of(want[i]))
+            << ops.name << " gemm rows=" << rows << " cols=" << cols
+            << " n=" << n << " out=" << i;
+      }
+      // A thread tile: odd-aligned output rows [r0, r1) computed alone.
+      const std::size_t r0 = rows / 3 | 1, r1 = rows - rows / 4;
+      std::vector<float> tile(n * rows, kSentinel);
+      ops.gemm(w.data() + r0 * cols, r1 - r0, cols, x.data(), n,
+               tile.data() + r0, rows);
+      for (std::size_t b = 0; b < n; ++b) {
+        for (std::size_t r = 0; r < rows; ++r) {
+          const float expect =
+              r >= r0 && r < r1 ? want[b * rows + r] : kSentinel;
+          ASSERT_EQ(bits_of(tile[b * rows + r]), bits_of(expect))
+              << ops.name << " tile [" << r0 << "," << r1 << ") rows="
+              << rows << " cols=" << cols << " n=" << n << " b=" << b
+              << " r=" << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, GemmBitwiseEqualsMatvecScalar) {
+  check_gemm_bitwise(scalar_kernels());
+}
+
+TEST(Kernels, GemmBitwiseEqualsMatvecDispatched) {
+  check_gemm_bitwise(kernels());
+}
+
 // --- fused == decode-then-plain, bitwise, per table -------------------------
 
 void check_fused_bitwise(const KernelOps& ops) {
@@ -203,14 +267,14 @@ void check_fused_bitwise(const KernelOps& ops) {
       dec[i] = static_cast<float>(i8[i]) * s;
     }
     EXPECT_EQ(ops.dequant_dot_int8(a.data(), i8.data(), n, s),
-              ops.dot(a.data(), dec.data(), n))
+              table_dot(ops, a.data(), dec.data(), n))
         << ops.name << " int8 n=" << n;
 
     for (std::size_t i = 0; i < n; ++i) {
       dec[i] = kv_decode_log2(lg[i], exponent);
     }
     EXPECT_EQ(ops.dequant_dot_log2(a.data(), lg.data(), n, exponent),
-              ops.dot(a.data(), dec.data(), n))
+              table_dot(ops, a.data(), dec.data(), n))
         << ops.name << " log2 n=" << n;
   }
   // Strided score/accum forms, d_head with a tail.

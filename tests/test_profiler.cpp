@@ -177,8 +177,9 @@ TEST(Profiler, CountsMatchHandCountedInvocations) {
   // Dense fp32 facade of the tiny model, driven token by token with the
   // profiler bound to one local slot. Every dispatch-table call in the
   // forward pass is enumerable by hand:
-  //   per step: 6L+1 matvec (Wq,Wk,Wv,Wo,fc1,fc2 per layer + tied
-  //   embedding), 2L axpy (both residual adds), 1 scale (logit scale), and
+  //   per step: one gemm (booked as matvec) per kGemmTileRows output rows
+  //   of Wq,Wk,Wv,Wo,fc1,fc2 per layer + the tied embedding, 2L axpy (both
+  //   residual adds), 1 scale (logit scale), and
   //   L*H attend_scores + L*H attend_accum (dense cache = one KV segment
   //   per layer, one call per head); norm, softmax, and the activation are
   //   plain loops that never enter the dispatch table.
@@ -212,10 +213,16 @@ TEST(Profiler, CountsMatchHandCountedInvocations) {
   EXPECT_EQ(logits, silent_logits);  // bit-for-bit through the wrapper
 
   const std::size_t steps = 3;
+  const auto tiles = [](std::size_t rows) {
+    return (rows + PreparedModel::kGemmTileRows - 1) /
+           PreparedModel::kGemmTileRows;
+  };
+  const std::size_t t_d = tiles(d), t_ffn = tiles(mc.d_ffn);
   auto stat = [&prof](KernelKind k) {
     return prof.kernels[static_cast<std::size_t>(k)];
   };
-  EXPECT_EQ(stat(KernelKind::kMatvec).calls, steps * (6 * L + 1));
+  EXPECT_EQ(stat(KernelKind::kMatvec).calls,
+            steps * (L * (5 * t_d + t_ffn) + tiles(mc.vocab)));
   EXPECT_EQ(stat(KernelKind::kMatvec).elems,
             steps * (L * (4 * d * d + 2 * d * mc.d_ffn) + mc.vocab * d));
   EXPECT_EQ(stat(KernelKind::kAxpy).calls, steps * 2 * L);
@@ -231,26 +238,28 @@ TEST(Profiler, CountsMatchHandCountedInvocations) {
   EXPECT_EQ(stat(KernelKind::kAttendAccum).elems,
             (1 + 2 + 3) * L * H * mc.d_head());
   // Nothing else fires on the dense fp32 path.
-  EXPECT_EQ(stat(KernelKind::kDot).calls, 0u);
-  EXPECT_EQ(stat(KernelKind::kMatvecTransposed).calls, 0u);
   EXPECT_EQ(stat(KernelKind::kDequantDotInt8).calls, 0u);
   EXPECT_EQ(stat(KernelKind::kDequantScoresInt8).calls, 0u);
   EXPECT_EQ(stat(KernelKind::kDequantAccumLog2).calls, 0u);
-  // Phase attribution saw the same structure: one qkv/attend/ffn section
-  // per layer per step, two norm sections, one model-level logits section.
+  // Phase attribution: one section per work item of the one-row pass. Per
+  // layer: two norm row items; the Wq/Wk/Wv GEMM tiles plus the row's
+  // quantize-and-write (qkv); the row's attention plus the Wo GEMM tiles
+  // (attend); fc1 tiles, the activation row, fc2 tiles (ffn). Model-level
+  // logits: final-norm row, embedding GEMM tiles, the sequence's logit-scale
+  // item.
   auto phase = [&prof](LayerPhase p) {
     return prof.phases[static_cast<std::size_t>(p)];
   };
   EXPECT_EQ(phase(LayerPhase::kNorm).calls, steps * 2 * L);
-  EXPECT_EQ(phase(LayerPhase::kQkv).calls, steps * L);
-  EXPECT_EQ(phase(LayerPhase::kAttend).calls, steps * L);
-  EXPECT_EQ(phase(LayerPhase::kFfn).calls, steps * L);
-  EXPECT_EQ(phase(LayerPhase::kLogits).calls, steps);
+  EXPECT_EQ(phase(LayerPhase::kQkv).calls, steps * L * (3 * t_d + 1));
+  EXPECT_EQ(phase(LayerPhase::kAttend).calls, steps * L * (1 + t_d));
+  EXPECT_EQ(phase(LayerPhase::kFfn).calls, steps * L * (t_ffn + 1 + t_d));
+  EXPECT_EQ(phase(LayerPhase::kLogits).calls, steps * (2 + tiles(mc.vocab)));
   ASSERT_EQ(prof.layers.size(), L);
   for (std::size_t l = 0; l < L; ++l) {
     EXPECT_EQ(prof.layers[l][static_cast<std::size_t>(LayerPhase::kQkv)]
                   .calls,
-              steps);
+              steps * (3 * t_d + 1));
     EXPECT_EQ(
         prof.layers[l][static_cast<std::size_t>(LayerPhase::kLogits)].calls,
         0u);  // logits is model-level, never per-layer
