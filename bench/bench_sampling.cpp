@@ -14,7 +14,7 @@
 //
 // Asserted (exit 1):
 //   * the greedy streams match an independently computed argmax decode
-//     (inline max loop, dense facade — no Sampler code involved), so the
+//     (inline max loop, batch-of-1 facade — no Sampler code involved), so the
 //     default path regressing cannot slip through as "zero divergence";
 //   * re-serving the identical seeded request set yields bitwise identical
 //     streams (same engine config, fresh engine);
@@ -172,8 +172,8 @@ int main(int argc, char** argv) {
 
   // --- assertions ---
   // Greedy regression guard: the sampled greedy streams must match an
-  // independently computed argmax decode (inline max loop over a dense
-  // facade — no Sampler involved), token for token.
+  // independently computed argmax decode (inline max loop over the
+  // batch-of-1 facade — no Sampler involved), token for token.
   {
     const auto requests = workload(greedy);
     for (std::size_t r = 0; r < requests.size(); ++r) {

@@ -4,10 +4,29 @@
 #include <cmath>
 
 #include "common/tensor.h"
-#include "llm/kv_cache.h"
 #include "quant/format.h"
 
 namespace opal {
+
+std::size_t kv_matrix_bytes(std::size_t d_model, std::size_t len,
+                            std::size_t bits_per_value,
+                            std::size_t block_size) {
+  require(block_size >= 1,
+          "kv_matrix_bytes: block_size must be >= 1 (1 = unblocked)");
+  const std::size_t blocks = (len + block_size - 1) / block_size;
+  std::size_t bytes = blocks * block_size * d_model * bits_per_value / 8;
+  if (block_size > 1 && bits_per_value < 32) {
+    bytes += blocks * sizeof(float);  // per-block quantization scale
+  }
+  return bytes;
+}
+
+std::size_t kv_storage_bytes(std::size_t n_layers, std::size_t d_model,
+                             std::size_t len, std::size_t bits_per_value,
+                             std::size_t block_size) {
+  return n_layers * 2 *
+         kv_matrix_bytes(d_model, len, bits_per_value, block_size);
+}
 
 std::size_t DeviceConfig::weight_buffer_bytes() const {
   const double bits = static_cast<double>(weight_bits) +
@@ -204,7 +223,7 @@ OpBytes op_bytes(const DeviceConfig& device, const ModelConfig& model,
       // K or V cache streamed from DRAM through the activation buffer.
       // Block-granular: the paged cache stores whole blocks (the op's
       // kv_len rounded up) plus a per-block scale at sub-32-bit precision.
-      const double kv_bytes = static_cast<double>(KvCache::matrix_bytes(
+      const double kv_bytes = static_cast<double>(kv_matrix_bytes(
           model.d_model, op.kv_len,
           static_cast<std::size_t>(device.act.max()),
           device.kv_block_size));

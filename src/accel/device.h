@@ -91,6 +91,24 @@ struct TokenReport {
   }
 };
 
+/// Bytes to store one layer's K (or V) matrix at length `len` with
+/// `bits_per_value`-bit entries, allocated block-granularly in blocks of
+/// `block_size` positions (len rounds up to whole blocks; 1 = unblocked).
+/// Sub-32-bit blocked layouts (block_size > 1) carry one fp32 scale per
+/// block, matching KvBlockPool's quantized storage.
+[[nodiscard]] std::size_t kv_matrix_bytes(std::size_t d_model,
+                                          std::size_t len,
+                                          std::size_t bits_per_value,
+                                          std::size_t block_size = 1);
+
+/// Bytes to store a whole KV cache (K and V, all layers) at length `len`
+/// under the same layout.
+[[nodiscard]] std::size_t kv_storage_bytes(std::size_t n_layers,
+                                           std::size_t d_model,
+                                           std::size_t len,
+                                           std::size_t bits_per_value,
+                                           std::size_t block_size = 1);
+
 /// Fig 8(b) bar: compute-core area of all n_cores (the paper's area
 /// comparison excludes the buffers, whose size is an independent design
 /// choice).

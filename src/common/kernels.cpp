@@ -1,9 +1,9 @@
 // Scalar reference kernels + the runtime dispatch shim.
 //
-// This TU is compiled with -ffp-contract=off (see CMakeLists.txt): the
+// The tree is compiled with -ffp-contract=off (see CMakeLists.txt): the
 // scalar table's arithmetic is exactly the source-order IEEE sequence below,
 // which makes it a stable bitwise reference for the SIMD tables and for the
-// fused-vs-gather equivalence the attend path relies on.
+// fused == decode-then-dot equivalence the attend path relies on.
 
 #include "common/kernels.h"
 
@@ -68,7 +68,7 @@ void scalar_attend_accum(const float* w, const float* v, std::size_t rows,
 
 // Fused dequantize kernels: decode one element to the exact read_row float,
 // then accumulate with the same structure as the non-fused kernel above, so
-// fused == gather-then-dot bitwise within this table.
+// fused == decode-then-dot bitwise within this table.
 
 float scalar_dequant_dot_int8(const float* a, const std::int8_t* codes,
                               std::size_t n, float s) {
@@ -162,7 +162,6 @@ bool env_forces_scalar() {
 }
 
 std::atomic<const KernelOps*> g_active{nullptr};
-std::atomic<bool> g_force_gather_attend{false};
 
 }  // namespace
 
@@ -205,14 +204,6 @@ void set_force_scalar_kernels(bool force) {
 
 void set_active_kernels(const KernelOps* table) {
   g_active.store(table, std::memory_order_release);
-}
-
-bool force_gather_attend() {
-  return g_force_gather_attend.load(std::memory_order_acquire);
-}
-
-void set_force_gather_attend(bool force) {
-  g_force_gather_attend.store(force, std::memory_order_release);
 }
 
 }  // namespace opal

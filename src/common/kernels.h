@@ -22,10 +22,9 @@
 //
 // ## Numerical contract (the bitwise-reference guarantee)
 //
-// * The scalar table is the reference. kernels.cpp is compiled with
+// * The scalar table is the reference. The whole tree is compiled with
 //   -ffp-contract=off, so its arithmetic is exactly the source-order IEEE
-//   sequence written there — same pattern as the forced-gather vs zero-copy
-//   attend reference in sequence_state.h.
+//   sequence written in kernels.cpp, in every build flavour.
 // * SIMD tables are *tolerance*-equal to scalar (vector lanes change the
 //   reduction order of dot products), and every table is deterministic: the
 //   same inputs through the same table give the same bits, every time.
@@ -46,9 +45,10 @@
 //   KvBlockPool::read_row produces (int8: float(code) * (scale/127); log2:
 //   kv_decode_log2 below), and accumulate them with exactly the same
 //   structure as the corresponding non-fused kernel of the same table. Hence
-//   within ANY single table, the fused quantized attend path is bitwise
-//   identical to gather-into-scratch-then-dot — fusion removes the fp32
-//   scratch materialization, never a bit of the result.
+//   within ANY single table, attending over quantized block codes is
+//   bitwise identical to dequantizing them into fp32 first and running the
+//   non-fused kernel — fusion removes the fp32 copy, never a bit of the
+//   result. This is the only attend path over quantized KV.
 //
 // ## Adding an ISA variant
 //
@@ -59,8 +59,8 @@
 //    `gemm` must reduce every output exactly like its `matvec`; start with
 //    a loop over matvec (one activation row per call) and block it only
 //    once tests/test_kernels.cpp's gemm == matvec parity holds bitwise.
-// 2. Give the TU its ISA flags + -ffp-contract=off in CMakeLists.txt, keyed
-//    on CMAKE_SYSTEM_PROCESSOR, and declare its
+// 2. Give the TU its ISA flags in CMakeLists.txt (-ffp-contract=off is
+//    already tree-wide), keyed on CMAKE_SYSTEM_PROCESSOR, and declare its
 //    `const KernelOps* opal_<isa>_kernels()` probe in kernels.cpp's resolve
 //    chain (return nullptr when the running CPU lacks the extension).
 // 3. tests/test_kernels.cpp and bench/bench_kernels.cpp pick the new table
@@ -176,18 +176,10 @@ void set_force_scalar_kernels(bool force);
 /// Same thread-safety contract as set_force_scalar_kernels.
 void set_active_kernels(const KernelOps* table);
 
-/// True when the attend path should read quantized KV through the gather
-/// scratch (the pre-fusion reference) instead of the fused dequantize
-/// kernels. Default off; tests/benches flip it with
-/// set_force_gather_attend() to compare the fused path against its bitwise
-/// reference engine-wide (SequenceState::set_force_gather is the
-/// per-sequence equivalent).
-[[nodiscard]] bool force_gather_attend();
-void set_force_gather_attend(bool force);
-
 // --- log2-7bit KV code layout -----------------------------------------------
 // Shared between KvBlockPool (encode/rescale/read_row) and the fused kernels
-// (in-register decode): one definition, so "fused == gather" stays bitwise.
+// (in-register decode): one definition, so fused == decode-then-dot stays
+// bitwise.
 
 inline constexpr int kKvLog2CodeBits = 7;
 inline constexpr int kKvLog2CodeMax = (1 << kKvLog2CodeBits) - 1;  // 127

@@ -7,8 +7,9 @@
 // fused — uses the same 8-float-per-iteration body (two 4-wide double FMA
 // accumulators) and the same sequential scalar tail for n % 8 leftovers, and
 // the fused decode produces exactly KvBlockPool::read_row's floats. That
-// keeps "fused == gather" bitwise within this table; only scalar-vs-AVX2 is
-// tolerance-level (lane reduction reorders the double sums).
+// keeps fused == decode-then-dot bitwise within this table; only
+// scalar-vs-AVX2 is tolerance-level (lane reduction reorders the double
+// sums).
 
 #if defined(__x86_64__) || defined(__amd64__) || defined(__i386__)
 

@@ -4,8 +4,8 @@
 // fused — consumes 8 floats per iteration through the same pair of 2-wide
 // double FMA accumulator vectors and finishes with the same sequential
 // scalar tail for n % 8 leftovers, and the fused decodes reproduce
-// KvBlockPool::read_row's floats exactly, so "fused == gather" stays bitwise
-// within this table. Compiled with -ffp-contract=off like the others.
+// KvBlockPool::read_row's floats exactly, so fused == decode-then-dot stays
+// bitwise within this table. Compiled with -ffp-contract=off like the others.
 
 #if defined(__aarch64__)
 

@@ -85,7 +85,8 @@ std::vector<double> evaluate_perplexity_batched(
   ServingConfig cfg;
   // Results are schedule-independent (each stream has its own state), so a
   // bounded batch with queueing scores identically while capping peak KV
-  // memory at kMaxConcurrentStreams dense caches instead of one per stream.
+  // memory at kMaxConcurrentStreams full-length caches instead of one per
+  // stream.
   constexpr std::size_t kMaxConcurrentStreams = 16;
   cfg.max_batch = std::min(streams.size(), kMaxConcurrentStreams);
   cfg.n_threads = n_threads;

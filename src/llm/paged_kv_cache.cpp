@@ -222,20 +222,12 @@ void PagedKvCache::reset_block_column(std::size_t layer, std::size_t column) {
 
 void PagedKvCache::gather(std::size_t layer, std::span<float> k_out,
                           std::span<float> v_out) const {
-  gather_range(layer, 0, len_, k_out, v_out);
-}
-
-void PagedKvCache::gather_range(std::size_t layer, std::size_t from,
-                                std::size_t to, std::span<float> k_out,
-                                std::span<float> v_out) const {
-  require(layer < k_blocks_.size(), "PagedKvCache::gather_range: bad layer");
-  require(from <= to && to <= len_,
-          "PagedKvCache::gather_range: bad row range");
+  require(layer < k_blocks_.size(), "PagedKvCache::gather: bad layer");
   const std::size_t d = pool_->d_model();
-  require(k_out.size() >= to * d && v_out.size() >= to * d,
-          "PagedKvCache::gather_range: output spans too small");
+  require(k_out.size() >= len_ * d && v_out.size() >= len_ * d,
+          "PagedKvCache::gather: output spans too small");
   const std::size_t bs = pool_->block_size();
-  for (std::size_t t = from; t < to; ++t) {
+  for (std::size_t t = 0; t < len_; ++t) {
     pool_->read_row(k_blocks_[layer][t / bs], t % bs,
                     k_out.subspan(t * d, d));
     pool_->read_row(v_blocks_[layer][t / bs], t % bs,

@@ -1,17 +1,18 @@
 // Per-sequence paged KV cache: a position -> block mapping over a shared
 // KvBlockPool.
 //
-// Where the dense KvCache reserves n_layers x 2 x max_seq_len x d_model
-// floats up front, a PagedKvCache holds blocks only for positions actually
-// written: per layer, one list of K blocks and one of V blocks, each block
-// covering `block_size` consecutive positions. advance() acquires the
+// A PagedKvCache holds blocks only for positions actually written, never
+// max_seq_len rows up front: per layer, one list of K blocks and one of V
+// blocks, each block covering `block_size` consecutive positions. advance() acquires the
 // 2*n_layers blocks of a new block column lazily (or finds them already
 // reserved — see reserve_next()), truncate() returns now-unused blocks to
 // the pool, and the destructor returns everything, so cache memory follows
 // the actual working set instead of the worst case.
 //
-// Reads go through gather(), which dequantizes one layer's K and V into
-// caller scratch; in fp32 mode this reproduces the written bits exactly.
+// Attention reads the blocks in place: append_block_segments() (fp32) and
+// append_quant_segments() (int8/log2) list one KvSegment per block spanning
+// pool storage. gather() copies one layer out as fp32 rows for inspection;
+// in fp32 mode it reproduces the written bits exactly.
 //
 // Prefix sharing: map_shared() adopts full, already-written block columns
 // (a PrefixCache hit) as this cache's leading positions, taking a pool
@@ -31,15 +32,13 @@
 
 namespace opal {
 
-/// One contiguous run of cached KV rows: `rows` consecutive positions of a
-/// single layer, row-major [rows x d_model]. Attention consumes a sequence's
-/// cached prefix as a short list of these — dense caches and gather scratch
-/// yield one segment, fp32 block pools yield one zero-copy segment per block
-/// (spans straight into pool storage, no per-step copy), and quantized block
-/// pools yield one *code* segment per block (mode != kFp32: k_codes/v_codes
-/// span the pool's raw quantized storage with the per-block decode scales,
-/// consumed by the fused dequantize-dot kernels in common/kernels.h; the
-/// float spans are empty).
+/// One KV block's cached rows: `rows` consecutive positions of a single
+/// layer, row-major [rows x d_model], spanning pool storage directly.
+/// Attention consumes a sequence's cached prefix as one of these per block.
+/// fp32 pools fill the float spans k/v; quantized pools (mode != kFp32)
+/// fill k_codes/v_codes with the block's raw codes plus its decode scales,
+/// consumed by the fused dequantize-dot kernels in common/kernels.h, and
+/// leave the float spans empty.
 struct KvSegment {
   std::span<const float> k;
   std::span<const float> v;
@@ -163,15 +162,6 @@ class PagedKvCache {
   void gather(std::size_t layer, std::span<float> k_out,
               std::span<float> v_out) const;
 
-  /// Dequantizes only rows [from, to) of `layer` into the same row-major
-  /// layout (row r lands at offset r*d_model of the spans, which must hold
-  /// at least to*d_model floats). Chunked prefill uses this to refresh just
-  /// the block a new row landed in — a quantized write can grow the block
-  /// scale and rescale that block's earlier codes, but never touches other
-  /// blocks — instead of re-gathering the whole prefix per token.
-  void gather_range(std::size_t layer, std::size_t from, std::size_t to,
-                    std::span<float> k_out, std::span<float> v_out) const;
-
   /// Appends zero-copy segments covering positions [0, len) of `layer` —
   /// one KvSegment per block, spanning the pool's storage directly. fp32
   /// pools only (see KvBlockPool::block_data); len <= length(). The spans
@@ -185,7 +175,7 @@ class PagedKvCache {
   /// block's current decode scale — the fused dequantize-dot attend path.
   /// kInt8/kLog2 pools only; len <= length(). Spans and scales reflect the
   /// blocks' live state: a later write may rescale a block's codes, so
-  /// segments are taken fresh per attend, like gather would re-read.
+  /// segments are taken fresh per attend.
   void append_quant_segments(std::size_t layer, std::size_t len,
                              std::vector<KvSegment>& out) const;
 

@@ -72,7 +72,8 @@ void PreparedModel::finish_construction() {
 }
 
 SequenceState PreparedModel::make_sequence() const {
-  return SequenceState(model_->config(), config_.max_seq_len);
+  return SequenceState(model_->config(), config_.max_seq_len,
+                       config_.kv_block_size);
 }
 
 SequenceState PreparedModel::make_sequence(KvBlockPool& pool) const {
@@ -221,13 +222,11 @@ void PreparedModel::attend(std::size_t l, SequenceState& seq,
   const auto& cfg = model_->config();
   const std::size_t d_head = cfg.d_head();
   const std::size_t d_model = cfg.d_model;
-  // The cached prefix [0, len) as row-major segments: dense caches and
-  // forced gathers yield one contiguous fp32 segment, fp32 block pools one
-  // zero-copy segment per block, quantized block pools one code segment per
-  // block (decoded in-register by the fused kernels below). Iterating
-  // segments outer / rows inner visits positions 0..len-1 in order, so the
-  // arithmetic is identical across all backings: within one kernel table
-  // the fused quantized path is bitwise equal to gather-then-attend.
+  // The cached prefix [0, len) as one row-major segment per KV block,
+  // spanning pool storage: fp32 blocks' floats, or quantized blocks' codes
+  // decoded in-register by the fused kernels below. Iterating segments
+  // outer / rows inner visits positions 0..len-1 in order, and within one
+  // kernel table the fused kernels are bitwise equal to decode-then-dot.
   const std::span<const KvSegment> kv = seq.attend_view(l, len);
   const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(d_head));
   const KernelOps& ops = kernels();
@@ -473,7 +472,6 @@ void PreparedModel::forward_pass(ForwardScratch& s, std::size_t rows,
     // t+1's write follows it — exactly a token-by-token run's order.
     run_items(s.pieces_.size(), pool, profile, s.slots_, [&](std::size_t p) {
       const ForwardScratch::Piece& piece = s.pieces_[p];
-      if (piece.chunk) piece.seq->begin_chunk_layer(l, piece.pos0);
       for (std::size_t t = 0; t < piece.tokens.size(); ++t) {
         attend_row(l, s, piece, t, recorder);
       }
@@ -523,7 +521,6 @@ void PreparedModel::forward_pass(ForwardScratch& s, std::size_t rows,
                       : std::span<float>(seq.logits_);
       std::copy(logits.begin(), logits.end(), out.begin());
     }
-    if (piece.chunk) seq.end_chunk();
   });
 }
 

@@ -250,8 +250,8 @@ struct ServingConfig {
   /// thread helps); 0 = serial pass on the calling thread.
   std::size_t n_threads = 0;
   /// KV block budget when the engine builds its own pool: 0 sizes the pool
-  /// for max_batch sequences at full max_seq_len (no preemption possible —
-  /// the dense-equivalent footprint); a smaller count serves the same batch
+  /// for max_batch sequences at full max_seq_len (no preemption possible);
+  /// a smaller count serves the same batch
   /// in less memory at the cost of preemptions under pressure.
   std::size_t kv_pool_blocks = 0;
   /// Optional pool shared with other engines (block_size/d_model/mode must

@@ -195,6 +195,28 @@ TEST(Device, MultiCoreCannotBeatDramBound) {
   EXPECT_GT(r4.latency_s, r1.latency_s * 0.9);
 }
 
+TEST(KvAccounting, StorageBytesScalesWithBits) {
+  const auto b16 = kv_storage_bytes(32, 4096, 2048, 16);
+  const auto b7 = kv_storage_bytes(32, 4096, 2048, 7);
+  EXPECT_EQ(b16, 32u * 2 * 4096 * 2048 * 2);
+  EXPECT_LT(b7, b16 / 2);
+}
+
+TEST(KvAccounting, BlockGranularStorageBytes) {
+  // Unblocked accounting (block_size 1) is unchanged.
+  EXPECT_EQ(kv_storage_bytes(32, 4096, 2048, 16),
+            32u * 2 * 4096 * 2048 * 2);
+  // Block-granular: length rounds up to whole blocks, and sub-32-bit
+  // layouts carry one fp32 scale per block.
+  EXPECT_EQ(kv_matrix_bytes(64, 17, 32, 16), 32u * 64 * 4);
+  EXPECT_EQ(kv_matrix_bytes(64, 17, 8, 16), 32u * 64 + 2 * 4);
+  EXPECT_EQ(kv_storage_bytes(2, 64, 17, 8, 16),
+            2u * 2 * (32 * 64 + 2 * 4));
+  // Quantized paged storage is ~4x below fp32.
+  EXPECT_LT(kv_storage_bytes(32, 4096, 2048, 8, 16),
+            kv_storage_bytes(32, 4096, 2048, 32, 16) / 3);
+}
+
 TEST(Device, QuantizerAndSoftmaxEnergyOnlyOnOpal) {
   const auto model = scaled_for_eval(llama2_7b(), 512, 2, 1024);
   const auto opal = simulate_token(make_opal_device(4, 7, 4), model, 64);

@@ -263,6 +263,64 @@ TEST(Engine, PrefillEmptyThrows) {
   EXPECT_THROW(engine.prefill({}), std::invalid_argument);
 }
 
+// --- the make_sequence() state: a KV cache on a private fp32 pool ---
+
+EngineConfig short_context() {
+  EngineConfig cfg;
+  cfg.max_seq_len = 6;
+  cfg.kv_block_size = 4;  // the last block is only half usable
+  return cfg;
+}
+
+TEST(Engine, StepPastMaxSeqLenThrowsAndKeepsPosition) {
+  const EngineConfig cfg = short_context();
+  InferenceEngine engine(tiny_model(), cfg);
+  for (std::size_t t = 0; t < cfg.max_seq_len; ++t) engine.step(t);
+  EXPECT_THROW(engine.step(0), std::invalid_argument);
+  EXPECT_EQ(engine.position(), cfg.max_seq_len);
+
+  const PreparedModel model(tiny_model(), cfg);
+  SequenceState seq = model.make_sequence();
+  for (std::size_t t = 0; t < cfg.max_seq_len; ++t) model.step(seq, t);
+  EXPECT_THROW(model.step(seq, 0), std::invalid_argument);
+  EXPECT_EQ(seq.position(), cfg.max_seq_len);
+
+  // A chunk crossing max_seq_len throws before touching the state; the
+  // space a truncate reopens is usable again.
+  seq.truncate(4);
+  const std::vector<std::size_t> chunk = {1, 2, 3};
+  EXPECT_THROW(model.prefill_chunk(seq, chunk), std::invalid_argument);
+  EXPECT_EQ(seq.position(), 4u);
+  model.prefill_chunk(seq, std::span(chunk).first(2));
+  EXPECT_EQ(seq.position(), cfg.max_seq_len);
+}
+
+TEST(Engine, TruncateBeyondLengthThrows) {
+  const PreparedModel model(tiny_model(), short_context());
+  SequenceState seq = model.make_sequence();
+  model.step(seq, 3);
+  EXPECT_THROW(seq.truncate(2), std::invalid_argument);
+  seq.truncate(1);  // truncating to the current length is a no-op
+  EXPECT_EQ(seq.position(), 1u);
+  seq.truncate(0);
+  EXPECT_EQ(seq.position(), 0u);
+}
+
+TEST(Engine, MovedSequenceKeepsItsPrivatePool) {
+  const PreparedModel model(tiny_model(), short_context());
+  SequenceState ref = model.make_sequence();
+  SequenceState seq = model.make_sequence();
+  model.step(ref, 5);
+  model.step(seq, 5);
+  SequenceState moved = std::move(seq);
+  const auto a = model.step(ref, 9);
+  const auto b = model.step(moved, 9);
+  EXPECT_EQ(std::vector<float>(a.begin(), a.end()),
+            std::vector<float>(b.begin(), b.end()));
+  EXPECT_EQ(moved.position(), 2u);
+  EXPECT_EQ(moved.blocks_held(), ref.blocks_held());
+}
+
 TEST(EngineConfig, Labels) {
   EXPECT_EQ(EngineConfig{}.label(), "W16A16 (BF16)");
   EXPECT_EQ(scheme_owq(4).label(), "W4A16 (BF16)");

@@ -12,9 +12,8 @@
 //  * the in-register log2/int8 decodes match KvBlockPool's scalar decode
 //    exactly for every byte value;
 //  * end-to-end: ServingEngine token streams agree between SIMD and
-//    forced-scalar kernels, and the fused attend path matches the
-//    forced-gather reference bitwise in every kv_mode without ever
-//    materializing fp32 gather scratch.
+//    forced-scalar kernels in every kv_mode (tests/test_golden.cpp pins the
+//    end-to-end bits of the fused attend path).
 #include "common/kernels.h"
 
 #include <gtest/gtest.h>
@@ -372,10 +371,7 @@ TEST(KernelsFused, SimdInt8DecodeExactForAllCodes) {
 
 class KernelsEndToEnd : public ::testing::Test {
  protected:
-  void TearDown() override {
-    set_force_scalar_kernels(false);
-    set_force_gather_attend(false);
-  }
+  void TearDown() override { set_force_scalar_kernels(false); }
 
   static const SyntheticModel& tiny_model() {
     static const SyntheticModel model(scaled_for_eval(llama2_7b(), 128, 2, 64),
@@ -421,65 +417,6 @@ TEST_F(KernelsEndToEnd, ServingTokensMatchForcedScalarInEveryKvMode) {
     set_force_scalar_kernels(true);
     const auto scalar_tokens = serve_tokens(model);
     EXPECT_EQ(simd_tokens, scalar_tokens) << to_string(mode);
-  }
-}
-
-TEST_F(KernelsEndToEnd, FusedAttendMatchesForcedGatherBitwise) {
-  // The engine-wide hook pins the pre-fusion reference; within one kernel
-  // table the fused path must reproduce it bit for bit, in and out of
-  // chunked prefill, while never materializing the fp32 gather scratch.
-  for (const KvQuantMode mode : {KvQuantMode::kInt8, KvQuantMode::kLog2}) {
-    EngineConfig cfg;
-    cfg.max_seq_len = 48;
-    cfg.kv_block_size = 4;
-    cfg.kv_mode = mode;
-    auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
-    auto pool = model->make_kv_pool(2.0);
-    SequenceState fused = model->make_sequence(pool);
-    SequenceState gathered = model->make_sequence(pool);
-
-    std::vector<std::size_t> prompt;
-    for (std::size_t i = 0; i < 11; ++i) prompt.push_back((i * 29 + 5) % 64);
-
-    model->prefill_chunk(fused, prompt);
-    for (std::size_t i = 0; i < 9; ++i) model->step(fused, (i * 7) % 64);
-    EXPECT_EQ(fused.gather_count(), 0u) << to_string(mode);
-
-    set_force_gather_attend(true);
-    model->prefill_chunk(gathered, prompt);
-    for (std::size_t i = 0; i < 9; ++i) model->step(gathered, (i * 7) % 64);
-    set_force_gather_attend(false);
-    EXPECT_GT(gathered.gather_count(), 0u) << to_string(mode);
-
-    const auto a = fused.logits();
-    const auto b = gathered.logits();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i], b[i]) << to_string(mode) << " logit " << i;
-    }
-  }
-}
-
-TEST_F(KernelsEndToEnd, PerSequenceForceGatherAlsoMatchesFused) {
-  EngineConfig cfg;
-  cfg.max_seq_len = 32;
-  cfg.kv_block_size = 8;
-  cfg.kv_mode = KvQuantMode::kInt8;
-  auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
-  auto pool = model->make_kv_pool(2.0);
-  SequenceState fused = model->make_sequence(pool);
-  SequenceState gathered = model->make_sequence(pool);
-  gathered.set_force_gather(true);
-  for (std::size_t i = 0; i < 13; ++i) {
-    model->step(fused, (i * 11 + 2) % 64);
-    model->step(gathered, (i * 11 + 2) % 64);
-  }
-  EXPECT_EQ(fused.gather_count(), 0u);
-  EXPECT_GT(gathered.gather_count(), 0u);
-  const auto a = fused.logits();
-  const auto b = gathered.logits();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << "logit " << i;
   }
 }
 

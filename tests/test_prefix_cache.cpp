@@ -1,8 +1,8 @@
 // Prefix cache: radix lookup over block-aligned token chunks, refcounted
 // sharing with LRU reclaim, and the ServingEngine acceptance property — N
 // requests over one prompt prefix run from roughly one shared copy of the
-// prefix blocks, bitwise identical to the dense fp32 baseline, with every
-// block accounted for after release.
+// prefix blocks, bitwise identical to the single-sequence fp32 baseline,
+// with every block accounted for after release.
 #include "llm/prefix_cache.h"
 
 #include <gtest/gtest.h>
@@ -27,7 +27,7 @@ const SyntheticModel& tiny_model() {
   return model;
 }
 
-/// Single-sequence greedy reference (dense fp32 KV): the bitwise baseline.
+/// Single-sequence greedy reference (fp32 KV): the bitwise baseline.
 std::vector<std::size_t> reference_tokens(
     const std::shared_ptr<const PreparedModel>& model,
     std::vector<std::size_t> prompt, std::size_t max_new) {
@@ -255,7 +255,7 @@ TEST(PrefixCacheServing, SharedPromptPrefixRunsFromOneCopy) {
   const auto [plain_tokens, plain_stats] = run(false, nullptr);
 
   // Outputs are bitwise identical to both the cache-off paged run and the
-  // dense fp32 single-sequence baseline.
+  // fp32 single-sequence baseline.
   EXPECT_EQ(cached_tokens, plain_tokens);
   for (std::size_t r = 0; r < requests.size(); ++r) {
     EXPECT_EQ(cached_tokens[r],
@@ -386,8 +386,8 @@ TEST(PrefixCacheServing, PreemptionReplayRestoresFromTheCache) {
 TEST(PrefixCacheServing, PressurePreemptionStaysLosslessWithCacheOn) {
   // The PR-2 exhaustion scenario with the cache enabled: a pool far below
   // the batch working set still drains every request with outputs equal to
-  // the dense baseline (preempted prefixes now come back as cache hits
-  // when the pool can keep them, and are reclaimed when it cannot).
+  // the single-sequence baseline (preempted prefixes now come back as cache
+  // hits when the pool can keep them, and are reclaimed when it cannot).
   EngineConfig cfg;
   cfg.max_seq_len = 32;
   cfg.kv_block_size = 4;

@@ -410,8 +410,8 @@ TEST(ServingEngine, QuarterFootprintPoolServesFullBatchIdentically) {
   // Acceptance: the pool holds 1/4 of the dense-cache footprint of
   // max_batch sequences — dense allocation could keep exactly ONE
   // max_seq_len cache in that memory — yet the paged engine runs all 4
-  // slots concurrently and every result is bitwise identical to the dense
-  // fp32 baseline.
+  // slots concurrently and every result is bitwise identical to the
+  // single-sequence fp32 baseline.
   EngineConfig cfg;
   cfg.max_seq_len = 32;
   cfg.kv_block_size = 8;
