@@ -3,11 +3,11 @@
 //
 // A PagedKvCache holds blocks only for positions actually written, never
 // max_seq_len rows up front: per layer, one list of K blocks and one of V
-// blocks, each block covering `block_size` consecutive positions. advance() acquires the
-// 2*n_layers blocks of a new block column lazily (or finds them already
-// reserved — see reserve_next()), truncate() returns now-unused blocks to
-// the pool, and the destructor returns everything, so cache memory follows
-// the actual working set instead of the worst case.
+// blocks, each block covering `block_size` consecutive positions. advance()
+// acquires the 2*n_layers blocks of a new block column lazily (or finds
+// them already reserved — see reserve_next()), truncate() returns
+// now-unused blocks to the pool, and the destructor returns everything, so
+// cache memory follows the actual working set instead of the worst case.
 //
 // Attention reads the blocks in place: append_block_segments() (fp32) and
 // append_quant_segments() (int8/log2) list one KvSegment per block spanning

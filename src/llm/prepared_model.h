@@ -111,7 +111,7 @@ struct EngineConfig {
   bool log2_softmax = false;
   int softmax_bits = 7;  // attention-map code width for the log2 unit
   std::size_t max_seq_len = 512;
-  /// KV-cache entry storage of make_kv_pool() pools, the serving path's
+  /// KV-cache entry storage in the pools make_kv_pool() builds for serving
   /// (make_sequence() without a pool always keeps fp32). kInt8/kLog2 trade
   /// a small perplexity delta for 4x less KV memory than kFp32 (see
   /// bench_table1_ppl).
