@@ -13,17 +13,17 @@
 //     pointers and increment through them with no lookup on the hot path).
 //   * Mutation is lock-free because it is not synchronized at all: like
 //     KvBlockPool, all mutation must be externally serialized (ServingEngine
-//     touches metrics only from its serial phases; the one parallel-phase
-//     measurement — per-sequence decode timing — is recorded into per-slot
-//     scratch and observed serially). snapshot() belongs to the same serial
-//     domain.
+//     touches metrics only from its serial phases: the model pass is timed
+//     around the whole forward, and its profiler samples are merged
+//     serially). snapshot() belongs to the same serial domain.
 //   * Metrics never feed back into control flow, so an instrumented run is
 //     bitwise identical to an uninstrumented one (asserted in
 //     tests/test_observability.cpp).
 //   * Counters count deterministic engine events (tokens, steps,
-//     preemptions, ...) and exactly mirror the corresponding
-//     ServingEngine::Stats fields; histograms hold wall-clock measurements
-//     (milliseconds by convention — names end in "_ms").
+//     preemptions, ...); ServingEngine::stats() reads its cumulative
+//     fields from them, so there is one source per count. Histograms hold
+//     wall-clock measurements (milliseconds by convention — names end in
+//     "_ms").
 //
 // Histogram quantiles are extracted from the fixed buckets by linear
 // interpolation within the bucket that crosses the requested rank, clamped

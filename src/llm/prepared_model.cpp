@@ -516,10 +516,8 @@ void PreparedModel::forward_pass(ForwardScratch& s, std::size_t rows,
     for (std::size_t t = 0; t < piece.tokens.size(); ++t) {
       const std::span<float> logits = row_of(s.logits_, vocab, piece.row0 + t);
       kernels().scale(model_->logit_scale(), logits.data(), vocab);
-      const std::span<float> out =
-          piece.chunk ? seq.chunk_logits_row_mut(piece.item_offset + t)
-                      : std::span<float>(seq.logits_);
-      std::copy(logits.begin(), logits.end(), out.begin());
+      std::copy(logits.begin(), logits.end(),
+                seq.logits_row_mut(piece.item_offset + t).begin());
     }
   });
 }
@@ -537,7 +535,7 @@ void PreparedModel::forward(std::span<const ForwardItem> items,
       require(token < cfg.vocab, "PreparedModel::forward: token out of range");
     }
     require(item.seq->d_model_ == cfg.d_model &&
-                item.seq->logits_.size() == cfg.vocab,
+                item.seq->vocab_ == cfg.vocab,
             "PreparedModel::forward: state sized for a different model");
     require(item.seq->position() + item.tokens.size() <=
                 item.seq->max_seq_len(),
@@ -545,7 +543,7 @@ void PreparedModel::forward(std::span<const ForwardItem> items,
   }
   if (recorder != nullptr) pool = nullptr;  // recorders are not thread-safe
   for (const ForwardItem& item : items) {
-    if (item.tokens.size() > 1) item.seq->begin_chunk(item.tokens.size());
+    item.seq->begin_rows(item.tokens.size());
   }
 
   // Pack rows into passes of at most kMaxPassRows, splitting an item across
@@ -563,7 +561,6 @@ void PreparedModel::forward(std::span<const ForwardItem> items,
       piece.tokens = item.tokens.subspan(offset, take);
       piece.item_offset = offset;
       piece.row0 = rows;
-      piece.chunk = item.tokens.size() > 1;
       scratch.pieces_.push_back(piece);
       rows += take;
       offset += take;
@@ -573,13 +570,6 @@ void PreparedModel::forward(std::span<const ForwardItem> items,
       }
     }
     forward_pass(scratch, rows, pool, profile, recorder);
-  }
-
-  // logits() keeps its "most recent decode" meaning for generation.
-  for (const ForwardItem& item : items) {
-    if (item.tokens.size() == 1) continue;
-    const auto last = item.seq->chunk_logits_row(item.tokens.size() - 1);
-    std::copy(last.begin(), last.end(), item.seq->logits_.begin());
   }
 }
 
@@ -598,7 +588,7 @@ std::span<const float> PreparedModel::prefill_chunk(
   const ForwardItem item{&seq, tokens};
   forward(std::span<const ForwardItem>(&item, 1), scratch, nullptr, nullptr,
           recorder);
-  return seq.logits_;
+  return seq.logits();
 }
 
 double PreparedModel::fp_weight_fraction() const {

@@ -146,7 +146,6 @@ class ForwardScratch {
     std::size_t item_offset = 0;  // index of tokens[0] within its item
     std::size_t row0 = 0;         // first scratch row of the piece
     std::size_t pos0 = 0;         // KV position of tokens[0]
-    bool chunk = false;           // the item has more than one row
   };
   /// One gemm work item: output rows [r0, r1) of y = W x over all rows.
   struct GemmTile {
@@ -183,11 +182,10 @@ class PreparedModel {
 
   /// Feeds every item's tokens through the model in one batch-major pass
   /// (see the header comment). Per item, the results are bitwise those of
-  /// tokens.size() single steps: a one-token item leaves its logits in
-  /// seq.logits(); a multi-token item leaves position i's logits in
-  /// seq.chunk_logits_row(i) and the last one also in seq.logits(), so a
-  /// sampler extending the sequence (llm/sampler.h) reads the same handoff
-  /// however the frontier was reached.
+  /// tokens.size() single steps: item row i's logits land in
+  /// seq.logits_row(i) (seq.rows() == tokens.size()), and seq.logits() is
+  /// the last row, so a sampler extending the sequence (llm/sampler.h)
+  /// reads the same handoff however the frontier was reached.
   ///
   /// Items must name distinct sequences. Tokens and max_seq_len are checked
   /// for every item before any state changes; KV blocks not pre-acquired
@@ -216,8 +214,9 @@ class PreparedModel {
   /// Chunked prefill: forward() over a single item feeding `tokens`, the
   /// next known tokens at `seq`'s current position. Bitwise identical to
   /// tokens.size() single steps in every kv_mode; returns the final token's
-  /// logits (same span as seq.logits()), per-position logits at
-  /// seq.chunk_logits_row(i).
+  /// logits (seq.logits()), per-position logits at seq.logits_row(i). The
+  /// serving engine batches its rows through forward() directly; this
+  /// wrapper serves the facade, the model drafter and tests.
   std::span<const float> prefill_chunk(
       SequenceState& seq, std::span<const std::size_t> tokens,
       ActivationRecorder* recorder = nullptr) const;

@@ -9,7 +9,8 @@ void SequenceState::init_scratch(const ModelConfig& config) {
           "SequenceState: pool d_model does not match the model");
   // Sized once so the segment list never allocates mid-decode.
   segments_.reserve(max_seq_len_ / cache_.pool().block_size() + 1);
-  logits_.resize(config.vocab);
+  vocab_ = config.vocab;
+  logits_.resize(vocab_);
   scores_.resize(max_seq_len_);
   probs_.resize(max_seq_len_);
 }
@@ -99,12 +100,9 @@ void SequenceState::spec_rollback(std::size_t new_len) {
   end_spec_capture();
 }
 
-void SequenceState::begin_chunk(std::size_t n) {
-  chunk_tokens_ = n;
-  // Grow-only: the buffer keeps its high-water capacity across chunks.
-  if (chunk_logits_.size() < n * logits_.size()) {
-    chunk_logits_.resize(n * logits_.size());
-  }
+void SequenceState::begin_rows(std::size_t n) {
+  rows_ = n;
+  if (logits_.size() < n * vocab_) logits_.resize(n * vocab_);
 }
 
 void SequenceState::write_kv_at(std::size_t layer, std::size_t pos,

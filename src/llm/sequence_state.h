@@ -1,8 +1,8 @@
-// Per-sequence mutable decode state: the KV cache, the logits of the most
-// recent pass, and the attention scratch. Cheap to create and reset, so a
-// serving layer can keep one per in-flight request while every sequence
-// shares a single immutable PreparedModel (whose forward pass keeps the
-// row activations in a ForwardScratch, not here).
+// Per-sequence mutable decode state: the KV cache, the logits of every row
+// of the most recent pass, and the attention scratch. Cheap to create and
+// reset, so a serving layer can keep one per in-flight request while every
+// sequence shares a single immutable PreparedModel (whose forward pass
+// keeps the row activations in a ForwardScratch, not here).
 //
 // The KV cache is a PagedKvCache: per-layer block tables over a
 // KvBlockPool. A serving state draws blocks from a pool shared with every
@@ -115,22 +115,23 @@ class SequenceState {
   /// prefill chunk needs (idempotent).
   void reserve_for(std::size_t n) { cache_.reserve_for(n); }
 
-  /// Logits of the last row the most recent PreparedModel::forward fed
-  /// through this state (a step's, or a chunk's final position) — zeros
-  /// before the first pass.
-  [[nodiscard]] std::span<const float> logits() const { return logits_; }
-
-  /// Tokens the most recent multi-token forward item fed (0 before the
-  /// first).
-  [[nodiscard]] std::size_t chunk_tokens() const { return chunk_tokens_; }
-  /// Logits of chunk position `i` (the logits observed after feeding the
-  /// chunk's i-th token); valid until the next multi-token pass with this
-  /// state.
-  [[nodiscard]] std::span<const float> chunk_logits_row(std::size_t i) const {
-    require(i < chunk_tokens_,
-            "SequenceState::chunk_logits_row: row out of range");
-    return std::span<const float>(chunk_logits_)
-        .subspan(i * logits_.size(), logits_.size());
+  /// Rows of the most recent PreparedModel::forward item fed through this
+  /// state: 1 for a decode step, n for an n-token chunk or verify burst (1
+  /// before the first pass).
+  [[nodiscard]] std::size_t rows() const { return rows_; }
+  /// Logits after the item's row `i` — bitwise what a token-by-token run
+  /// observes after feeding that token. Rows of an earlier, wider item are
+  /// not readable: `i` must be below rows(). Valid until the next pass with
+  /// this state.
+  [[nodiscard]] std::span<const float> logits_row(std::size_t i) const {
+    require(i < rows_, "SequenceState::logits_row: row out of range");
+    return std::span<const float>(logits_).subspan(i * vocab_, vocab_);
+  }
+  /// Logits of the item's last row (a step's, or a chunk's final
+  /// position's) — the row generation extends from; zeros before the first
+  /// pass.
+  [[nodiscard]] std::span<const float> logits() const {
+    return logits_row(rows_ - 1);
   }
 
   /// The request's sampler checkpoint (counter-based RNG stream position;
@@ -157,11 +158,10 @@ class SequenceState {
 
   void init_scratch(const ModelConfig& config);
 
-  /// Sizes the chunk logits buffer for an `n`-token forward item.
-  void begin_chunk(std::size_t n);
-  [[nodiscard]] std::span<float> chunk_logits_row_mut(std::size_t i) {
-    return std::span<float>(chunk_logits_)
-        .subspan(i * logits_.size(), logits_.size());
+  /// Sizes the logits buffer for an `n`-row forward item.
+  void begin_rows(std::size_t n);
+  [[nodiscard]] std::span<float> logits_row_mut(std::size_t i) {
+    return std::span<float>(logits_).subspan(i * vocab_, vocab_);
   }
 
   void advance_cache_by(std::size_t n) { cache_.advance_by(n); }
@@ -173,6 +173,7 @@ class SequenceState {
   std::size_t max_seq_len_;
   std::size_t n_layers_ = 0;
   std::size_t d_model_ = 0;
+  std::size_t vocab_ = 0;
   SamplerState sampler_state_;
   // The private pool of a state built without one. Declared before cache_
   // so the cache returns its blocks before the pool goes away, and held by
@@ -190,12 +191,11 @@ class SequenceState {
   std::vector<float> spec_rows_k_, spec_rows_v_;
   std::vector<KvBlockPool::BlockSnapshot> spec_snap_k_, spec_snap_v_;
   std::vector<KvSegment> segments_;  // attend_view scratch
-  std::size_t chunk_tokens_ = 0;
-  std::vector<float> chunk_logits_;  // [chunk_tokens x vocab]
-  // Sized once at construction; the decode hot path performs no heap
-  // allocation.
-  std::vector<float> logits_;          // vocab
-  std::vector<float> scores_, probs_;  // max_seq_len
+  // [rows_ x vocab], grow-only: it keeps its widest item's capacity, so
+  // the decode hot path performs no heap allocation.
+  std::size_t rows_ = 1;
+  std::vector<float> logits_;
+  std::vector<float> scores_, probs_;  // max_seq_len, sized once
 };
 
 }  // namespace opal

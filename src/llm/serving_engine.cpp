@@ -385,16 +385,21 @@ bool ServingEngine::reclaim_queued_prefix() {
       it->downgraded = true;  // must not hold a re-adoption through failure
       const std::size_t fed_before = it->fed;
       release_sequence_kv(*it);
-      ++stat_preemptions_;
-      em_.preemptions->add();
-      trace_.emit({.kind = TraceEventKind::kPreempt,
-                   .step = step_counter_,
-                   .request = it->id,
-                   .b = fed_before});
+      record_preemption(*it, 0, fed_before);
       return true;
     }
   }
   return false;
+}
+
+void ServingEngine::record_preemption(const Sequence& seq, std::size_t keep,
+                                      std::size_t fed_before) {
+  em_.preemptions->add();
+  trace_.emit({.kind = TraceEventKind::kPreempt,
+               .step = step_counter_,
+               .request = seq.id,
+               .a = keep,
+               .b = fed_before});
 }
 
 bool ServingEngine::ensure_kv_capacity(std::vector<std::size_t>& budgets) {
@@ -476,12 +481,7 @@ bool ServingEngine::ensure_kv_capacity(std::vector<std::size_t>& budgets) {
     const std::size_t fed_before = victim.fed;
     release_sequence_kv(victim);
     victim.result.status = RequestStatus::kQueued;
-    ++stat_preemptions_;
-    em_.preemptions->add();
-    trace_.emit({.kind = TraceEventKind::kPreempt,
-                 .step = step_counter_,
-                 .request = victim.id,
-                 .b = fed_before});
+    record_preemption(victim, 0, fed_before);
     queue_.push_front(std::move(victim));
   }
 }
@@ -493,7 +493,6 @@ void ServingEngine::finish(Sequence&& seq, RequestStatus status) {
   maybe_cache_prefix(seq);
   seq.state.reset();  // unshared blocks return to the pool immediately
   if (status == RequestStatus::kEvicted) {
-    ++stat_evictions_;
     ++prio_stats_[seq.priority].evicted;
     em_.evictions->add();
     trace_.emit({.kind = TraceEventKind::kEvict,
@@ -556,13 +555,7 @@ void ServingEngine::preempt(RequestId id, std::size_t keep_positions) {
   }
   seq->fed = keep_positions;  // replay the rest on readmission
   seq->result.status = RequestStatus::kQueued;
-  ++stat_preemptions_;
-  em_.preemptions->add();
-  trace_.emit({.kind = TraceEventKind::kPreempt,
-               .step = step_counter_,
-               .request = seq->id,
-               .a = keep_positions,
-               .b = fed_before});
+  record_preemption(*seq, keep_positions, fed_before);
   const std::ptrdiff_t index = seq - batch_.data();
   queue_.push_back(std::move(*seq));
   batch_.erase(batch_.begin() + index);
@@ -573,11 +566,51 @@ std::size_t ServingEngine::step() {
   em_.steps->add();
   const std::uint64_t step_t0_us = trace_.now_us();
   admit_from_queue();
+  retire_stale();
+  plan_budgets();
+  // Memory pressure: make sure the pool covers every running sequence's
+  // planned budget, shrinking budgets then preempting (then, for a lone
+  // sequence, evicting) first. A false return means a shared pool's blocks
+  // are transiently held by another engine — stall this step rather than
+  // decode into exhaustion.
+  const bool stalled = !ensure_kv_capacity(budgets_);
+  if (stalled) em_.stalls->add();
+  if (stalled || batch_.empty()) {
+    em_.running->set(static_cast<double>(batch_.size()));
+    em_.queued->set(static_cast<double>(queue_.size()));
+    return 0;
+  }
 
-  // Retire completed sequences a prior step could not retire (its observer
-  // threw after bookkeeping), and evict sequences whose KV cache is
-  // exhausted; freed slots refill from the queue within the same step
-  // (continuous batching).
+  const PassTiming pass = run_forward();
+  // Serial bookkeeping, in slot order, runs to completion for the whole
+  // batch before any observer fires, so a throwing observer can never leave
+  // a sequence's fed counter out of sync with its already-advanced KV cache.
+  const std::size_t decoded = batch_.size();
+  fed_pos_.resize(decoded);
+  if (emitted_.size() < decoded) emitted_.resize(decoded);
+  for (std::size_t i = 0; i < decoded; ++i) commit(i, pass);
+  notify_observers(decoded);
+  retire_done();
+
+  // Step record: per-sequence events above precede it in emission order,
+  // which is what write_step_trace's single forward scan groups on.
+  const std::uint64_t step_end_us = trace_.now_us();
+  em_.step_ms->observe(static_cast<double>(step_end_us - step_t0_us) /
+                       1000.0);
+  trace_.emit({.kind = TraceEventKind::kStep,
+               .ts_us = step_end_us,
+               .dur_us = step_end_us - step_t0_us,
+               .step = step_counter_,
+               .a = decoded,
+               .b = pass.rows,
+               .c = kv_pool_->blocks_in_use(),
+               .d = kv_pool_->free_blocks()});
+  em_.running->set(static_cast<double>(batch_.size()));
+  em_.queued->set(static_cast<double>(queue_.size()));
+  return decoded;
+}
+
+void ServingEngine::retire_stale() {
   for (;;) {
     bool removed = false;
     for (std::size_t i = 0; i < batch_.size(); ++i) {
@@ -592,120 +625,97 @@ std::size_t ServingEngine::step() {
         break;
       }
     }
-    if (!removed) break;
-    admit_from_queue();
+    if (!removed) return;
+    admit_from_queue();  // continuous batching: refill within the step
   }
+}
 
-  // Budget planning: the scheduler proposes per-sequence token counts; the
-  // engine clamps each to the tokens actually known, the configured chunk
-  // width, and the sequence's remaining KV space. Everything is >= 1, so
-  // every running sequence advances.
+void ServingEngine::plan_budgets() {
+  // The scheduler proposes per-sequence token counts; the engine clamps
+  // each to the tokens actually known, the configured chunk width, and the
+  // sequence's remaining KV space. Everything is >= 1, so every running
+  // sequence advances.
   budgets_.assign(batch_.size(), 1);
-  if (!batch_.empty()) {
-    scheduler_->plan_budgets(sched_views(batch_), budgets_,
-                             config_.prefill_chunk_tokens);
-    for (std::size_t i = 0; i < batch_.size(); ++i) {
-      const Sequence& seq = batch_[i];
-      const std::size_t known = seq.result.tokens.size() - seq.fed;
-      const std::size_t space =
-          seq.state->max_seq_len() - seq.state->position();
-      const std::size_t cap =
-          std::min({known, space, config_.prefill_chunk_tokens});
-      budgets_[i] = std::clamp<std::size_t>(budgets_[i], 1, cap);
-    }
+  if (batch_.empty()) return;
+  scheduler_->plan_budgets(sched_views(batch_), budgets_,
+                           config_.prefill_chunk_tokens);
+  const std::size_t vocab = model_->model_config().vocab;
+  for (std::size_t i = 0; i < batch_.size(); ++i) {
+    Sequence& seq = batch_[i];
+    const std::size_t known = seq.result.tokens.size() - seq.fed;
+    const std::size_t space = seq.state->max_seq_len() - seq.state->position();
+    budgets_[i] = std::clamp<std::size_t>(
+        budgets_[i], 1, std::min({known, space, config_.prefill_chunk_tokens}));
     // Speculative burst planning: a sequence at its generation frontier
     // (exactly one known, unfed token and generation remaining) may widen
     // its budget to a verify burst [frontier, d1..dk]. k is clamped so the
     // burst can neither out-generate the request (each fed row commits at
-    // most one token) nor outgrow the KV cache; drafts are truncated at
-    // the first out-of-vocab token (a garbage drafter must not throw from
-    // the parallel decode phase). The widened budget flows through
-    // ensure_kv_capacity like any chunk, so all 1+k rows are block-reserved
-    // up front and pressure shrinks the burst back to a plain step.
-    for (std::size_t i = 0; i < batch_.size(); ++i) {
-      Sequence& seq = batch_[i];
-      seq.spec_drafts.clear();
-      if (seq.drafter == nullptr) continue;
-      if (seq.result.tokens.size() - seq.fed != 1 ||
-          seq.result.tokens.size() >= seq.target_len) {
-        continue;
-      }
-      const std::size_t space =
-          seq.state->max_seq_len() - seq.state->position();
-      const std::size_t remaining =
-          seq.target_len - seq.result.tokens.size();
-      const std::size_t k = std::min({config_.speculative.draft_tokens,
-                                      remaining - 1, space - 1});
-      if (k == 0) continue;
-      seq.spec_drafts.push_back(seq.result.tokens[seq.fed]);  // frontier
-      seq.drafter->draft(seq.result.tokens, k, seq.spec_drafts);
-      const std::size_t vocab = model_->model_config().vocab;
-      std::size_t valid = 1;
-      while (valid < std::min(seq.spec_drafts.size(), 1 + k) &&
-             seq.spec_drafts[valid] < vocab) {
-        ++valid;
-      }
-      seq.spec_drafts.resize(valid);
-      if (seq.spec_drafts.size() == 1) {
-        seq.spec_drafts.clear();  // nothing proposed: plain decode
-        continue;
-      }
-      budgets_[i] = seq.spec_drafts.size();
+    // most one token) nor outgrow the KV cache; drafts are truncated at the
+    // first out-of-vocab token (a garbage drafter must not make the pass
+    // throw). The widened budget flows through ensure_kv_capacity like any
+    // chunk, so all 1+k rows are block-reserved up front and pressure
+    // shrinks the burst back to a plain step.
+    seq.spec_drafts.clear();
+    if (seq.drafter == nullptr || known != 1 ||
+        seq.result.tokens.size() >= seq.target_len) {
+      continue;
     }
-  }
-
-  // Memory pressure: make sure the pool covers every running sequence's
-  // planned budget, shrinking budgets then preempting (then, for a lone
-  // sequence, evicting) first. A false return means a shared pool's blocks
-  // are transiently held by another engine — stall this step rather than
-  // decode into exhaustion.
-  if (!ensure_kv_capacity(budgets_)) {
-    em_.stalls->add();
-    em_.running->set(static_cast<double>(batch_.size()));
-    em_.queued->set(static_cast<double>(queue_.size()));
-    return 0;
-  }
-  if (batch_.empty()) {
-    em_.running->set(0.0);
-    em_.queued->set(static_cast<double>(queue_.size()));
-    return 0;
-  }
-
-  // Serial reservation phase: all pool allocation for this step happens
-  // here, so the parallel decode below never mutates shared pool state.
-  // Speculative bursts also open their rollback capture here — after
-  // reserve_for's copy-on-write, the boundary block is exclusively owned,
-  // which snapshot restore requires.
-  for (std::size_t i = 0; i < batch_.size(); ++i) {
-    batch_[i].state->reserve_for(budgets_[i]);
-    if (budgets_[i] > 1 && !batch_[i].spec_drafts.empty()) {
-      batch_[i].state->begin_spec_capture(budgets_[i]);
+    const std::size_t remaining = seq.target_len - seq.result.tokens.size();
+    const std::size_t k = std::min(
+        {config_.speculative.draft_tokens, remaining - 1, space - 1});
+    if (k == 0) continue;
+    seq.spec_drafts.push_back(seq.result.tokens[seq.fed]);  // frontier
+    seq.drafter->draft(seq.result.tokens, k, seq.spec_drafts);
+    std::size_t valid = 1;
+    while (valid < std::min(seq.spec_drafts.size(), 1 + k) &&
+           seq.spec_drafts[valid] < vocab) {
+      ++valid;
     }
+    seq.spec_drafts.resize(valid);
+    if (valid == 1) {
+      seq.spec_drafts.clear();  // nothing proposed: plain decode
+      continue;
+    }
+    budgets_[i] = valid;
   }
-  // One batch-major forward over every running sequence's rows: a decode
-  // row, a prefill chunk, or a speculative burst [frontier, drafts...] (a
-  // burst pressure shrank to 1 feeds spec_drafts[0] == tokens[fed], the
-  // plain step). Work fans out over GEMM tiles, rows, and per-sequence
-  // attention inside the model; every row is bitwise what a solo step
-  // produces, whatever the batch or the thread count.
+}
+
+ServingEngine::PassTiming ServingEngine::run_forward() {
+  // Serial reservation: all pool allocation for this step happens here, so
+  // the parallel pass never mutates shared pool state. Speculative bursts
+  // also open their rollback capture here — after reserve_for's
+  // copy-on-write, the boundary block is exclusively owned, which snapshot
+  // restore requires.
+  PassTiming pass;
   forward_items_.clear();
   for (std::size_t i = 0; i < batch_.size(); ++i) {
     Sequence& seq = batch_[i];
+    const std::size_t n = budgets_[i];
+    seq.state->reserve_for(n);
+    if (n > 1 && !seq.spec_drafts.empty()) seq.state->begin_spec_capture(n);
+    // A decode row, a prefill chunk, or a speculative burst [frontier,
+    // drafts...] (a burst pressure shrank to 1 feeds spec_drafts[0] ==
+    // tokens[fed], the plain step).
     const std::span<const std::size_t> tokens =
         seq.spec_drafts.empty()
             ? std::span<const std::size_t>(seq.result.tokens)
-                  .subspan(seq.fed, budgets_[i])
-            : std::span<const std::size_t>(seq.spec_drafts)
-                  .first(budgets_[i]);
+                  .subspan(seq.fed, n)
+            : std::span<const std::size_t>(seq.spec_drafts).first(n);
     forward_items_.push_back({seq.state.get(), tokens});
+    pass.rows += n;
   }
+  // One batch-major forward over every running sequence's rows. Work fans
+  // out over GEMM tiles, rows, and per-sequence attention inside the model;
+  // every row is bitwise what a solo step produces, whatever the batch or
+  // the thread count.
   if (profiling_) step_profile_.clear();
   const std::uint64_t forward_t0_us = trace_.now_us();
   model_->forward(forward_items_, forward_scratch_, pool_.get(),
                   profiling_ ? &step_profile_ : nullptr);
-  const std::uint64_t forward_end_us = trace_.now_us();
-  const std::uint64_t forward_us = forward_end_us - forward_t0_us;
+  pass.end_us = trace_.now_us();
+  const std::uint64_t forward_us = pass.end_us - forward_t0_us;
   em_.forward_ms->observe(static_cast<double>(forward_us) / 1000.0);
+  pass.worker_us = forward_us * std::max<std::size_t>(config_.n_threads, 1);
   if (profiling_) {
     // Serial merge of the pass's per-work-item samples: the run total and
     // the profile.* counters advance only here, never off the serial phase.
@@ -720,230 +730,165 @@ std::size_t ServingEngine::step() {
       pm_.phase_ns[p]->add(step_profile_.phases[p].ns);
     }
   }
+  // Queue-wait/TTFT/ITL are request-level latencies, for which per-slot
+  // resolution is noise: the whole serial phase shares one anchor.
+  pass.now = std::chrono::steady_clock::now();
+  return pass;
+}
 
-  // Serial bookkeeping, in slot order: advance fed counters and extend with
-  // sampled tokens. This runs to completion for the whole batch before any
-  // observer fires, so a throwing observer can never leave a sequence's fed
-  // counter out of sync with its already-advanced KV cache.
-  const std::size_t decoded = batch_.size();
-  // One wall-clock anchor for the whole serial phase: queue-wait/TTFT/ITL
-  // are request-level latencies, for which per-slot resolution is noise.
-  const auto now_tp = std::chrono::steady_clock::now();
+void ServingEngine::commit(std::size_t i, const PassTiming& pass) {
   const auto to_ms = [](std::chrono::steady_clock::duration d) {
     return std::chrono::duration<double, std::milli>(d).count();
   };
-  std::size_t rows_fed_total = 0;
-  for (std::size_t i = 0; i < decoded; ++i) rows_fed_total += budgets_[i];
-  // Each sequence is charged the pass's worker time by its share of rows,
-  // so the pass histograms (and trace dur_us) sum to forward time x workers.
-  const std::uint64_t worker_us =
-      forward_us * std::max<std::size_t>(config_.n_threads, 1);
-  fed_pos_.resize(decoded);
-  if (emitted_.size() < decoded) emitted_.resize(decoded);
-  for (std::size_t i = 0; i < decoded; ++i) emitted_[i].clear();
+  Sequence& seq = batch_[i];
+  auto& tokens = seq.result.tokens;
+  const std::size_t n = budgets_[i];
+  const bool spec = !seq.spec_drafts.empty() && n > 1;
+  fed_pos_[i] = seq.fed;  // first position fed this step
+  em_.tokens_decoded->add(n);  // rows executed, incl. rejected verify rows
+  auto& prio = prio_stats_[seq.priority];
+  if (!seq.wait_counted) {
+    seq.wait_counted = true;
+    prio.queue_wait_steps +=
+        static_cast<std::size_t>(step_counter_ - seq.submit_step - 1);
+    ++prio.first_decodes;
+    em_.queue_wait_ms->observe(to_ms(pass.now - seq.submit_tp));
+  }
+
+  // The commit walk. Row j's logits are bitwise what a plain step at that
+  // position produces, and the request's own sampler draws from them one
+  // draw per generated token, so every committed token IS the
+  // non-speculative stream's. A plain item samples its last row, and only
+  // at the generation frontier (every known token fed; replay never
+  // re-samples a token that already exists). A burst walks from row 0 and
+  // continues while the sample matches the next fed draft; the first
+  // mismatch or stop ends it, and the unused rows roll back below. The
+  // final generated token is pure output either way — feeding it would
+  // spend a KV slot and a pass on logits nobody reads.
+  std::vector<EmittedTok>& emitted = emitted_[i];
+  emitted.clear();
+  const bool samples =
+      spec || (seq.fed + n == tokens.size() && tokens.size() < seq.target_len);
+  for (std::size_t j = spec ? 0 : n - 1; samples && j < n; ++j) {
+    const std::size_t next = seq.sampler->sample(
+        seq.state->logits_row(j), tokens, seq.state->sampler_state());
+    tokens.push_back(next);
+    const bool hit = j + 1 < n && next == seq.spec_drafts[j + 1];
+    emitted.push_back({next, j, spec, hit});
+    // TTFT on the request's first generated token (in steps and wall
+    // time), ITL between consecutive ones. Tokens of one burst share the
+    // step's timestamp: the stream really does arrive in bursts.
+    if (!seq.ttft_counted) {
+      seq.ttft_counted = true;
+      prio.ttft_steps +=
+          static_cast<std::size_t>(step_counter_ - seq.submit_step);
+      ++prio.first_tokens;
+      em_.ttft_ms->observe(to_ms(pass.now - seq.submit_tp));
+    } else {
+      em_.itl_ms->observe(to_ms(pass.now - seq.last_token_tp));
+    }
+    seq.last_token_tp = pass.now;
+    seq.result.finish_reason = check_stop(seq.sampling, tokens,
+                                          seq.result.prompt_len,
+                                          seq.target_len);
+    seq.done = seq.result.finish_reason != FinishReason::kNone;
+    if (seq.done || !hit) break;
+  }
+  const std::size_t committed = spec ? emitted.size() : n;
+  if (spec) {
+    // Rejected suffix: rewind the KV to the committed rows — bitwise, so
+    // the kept prefix stays canonical (prefix-cacheable, and no
+    // non_canonical_from watermark is spent).
+    if (committed < n) {
+      seq.state->spec_rollback(seq.fed + committed);
+    } else {
+      seq.state->end_spec_capture();
+    }
+    em_.spec_bursts->add();
+    em_.spec_drafted->add(n - 1);
+    em_.spec_accepted->add(committed - 1);
+    em_.spec_rejected->add(n - committed);
+    seq.drafter->observe(tokens, committed - 1);
+  }
+  seq.fed += committed;  // after a burst, tokens.size() - 1: the frontier
+  if (seq.fed == tokens.size() && tokens.size() >= seq.target_len) {
+    seq.done = true;  // scoring request: every prompt token has been fed
+  }
+  // Served accounting is charged with tokens actually committed — a
+  // fair-share policy must not bill a request for rejected rows it never
+  // kept.
+  seq.tokens_served += committed;
+  prio.tokens_served += committed;
+  em_.tokens_committed->add(committed);
+  scheduler_->on_served(seq.id, committed);
+
+  // This sequence's row share of the pass's worker time, so the pass
+  // histograms (and trace dur_us) sum to forward time x workers.
+  const std::uint64_t share_us = pass.worker_us * n / pass.rows;
+  Histogram* const hist = spec    ? em_.spec_verify_ms
+                          : n > 1 ? em_.prefill_chunk_ms
+                                  : em_.decode_ms;
+  hist->observe(static_cast<double>(pass.worker_us) / 1000.0 *
+                static_cast<double>(n) / static_cast<double>(pass.rows));
+  trace_.emit({.kind = spec    ? TraceEventKind::kSpecBurst
+                       : n > 1 ? TraceEventKind::kChunk
+                               : TraceEventKind::kDecode,
+               .ts_us = pass.end_us,
+               .dur_us = share_us,
+               .step = step_counter_,
+               .request = seq.id,
+               .a = n,
+               .b = fed_pos_[i],
+               .c = n * kv_row_bytes_,
+               .d = spec ? committed : 0});
+}
+
+void ServingEngine::notify_observers(std::size_t decoded) {
+  // Sequence states (and their logits rows) are all still alive. The
+  // logits observer sees every fed position that survived the step, in
+  // order, exactly as a token-by-token run reports it: the full item on
+  // every plain path, only the committed prefix of a burst — rejected
+  // rows' positions no longer exist. A throw propagates to the caller with
+  // the engine in a consistent state; the step's remaining calls are
+  // skipped.
+  if (!observer_ && !token_observer_ && !logprob_observer_) return;
   for (std::size_t i = 0; i < decoded; ++i) {
-    Sequence& seq = batch_[i];
-    const std::size_t n = budgets_[i];
-    const bool spec = !seq.spec_drafts.empty() && n > 1;
-    fed_pos_[i] = seq.fed;  // first position fed this step
-    stat_tokens_ += n;      // rows executed, including rejected verify rows
-    em_.tokens_decoded->add(n);
-    auto& prio = prio_stats_[seq.priority];
-    if (!seq.wait_counted) {
-      seq.wait_counted = true;
-      prio.queue_wait_steps +=
-          static_cast<std::size_t>(step_counter_ - seq.submit_step - 1);
-      ++prio.first_decodes;
-      em_.queue_wait_ms->observe(to_ms(now_tp - seq.submit_tp));
-    }
-    std::size_t committed = n;
-    if (spec) {
-      // Verify-commit walk over the burst's per-row logits. Row j's logits
-      // are bitwise what a plain step at that position produces, and the
-      // request's own sampler draws from them exactly as a plain step
-      // would (one draw per generated token — rejected rows are never
-      // sampled from), so every committed token IS the non-speculative
-      // stream's token. The burst continues while the sample matches the
-      // next fed draft; the first mismatch (or stop) ends it and the
-      // unused fed rows roll back bitwise below.
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::size_t next =
-            seq.sampler->sample(seq.state->chunk_logits_row(j),
-                                seq.result.tokens,
-                                seq.state->sampler_state());
-        seq.result.tokens.push_back(next);
-        EmittedTok tok;
-        tok.token = next;
-        tok.row = j;
-        tok.speculative = true;
-        tok.draft_hit = j + 1 < n && next == seq.spec_drafts[j + 1];
-        emitted_[i].push_back(tok);
-        if (!seq.ttft_counted) {
-          seq.ttft_counted = true;
-          prio.ttft_steps +=
-              static_cast<std::size_t>(step_counter_ - seq.submit_step);
-          ++prio.first_tokens;
-        }
-        seq.result.finish_reason =
-            check_stop(seq.sampling, seq.result.tokens,
-                       seq.result.prompt_len, seq.target_len);
-        if (seq.result.finish_reason != FinishReason::kNone) {
-          seq.done = true;
-          break;
-        }
-        if (!tok.draft_hit) break;
-      }
-      committed = emitted_[i].size();
-      if (committed < n) {
-        // Rejected suffix: rewind the KV to the committed rows — bitwise,
-        // so the kept prefix stays canonical (prefix-cacheable, and no
-        // non_canonical_from watermark is spent).
-        seq.state->spec_rollback(seq.fed + committed);
-      } else {
-        seq.state->end_spec_capture();
-      }
-      seq.fed += committed;  // tokens.size() - 1: the frontier invariant
-      ++stat_spec_bursts_;
-      stat_spec_drafted_ += n - 1;
-      stat_spec_accepted_ += committed - 1;
-      stat_spec_rejected_ += n - committed;
-      em_.spec_bursts->add();
-      em_.spec_drafted->add(n - 1);
-      em_.spec_accepted->add(committed - 1);
-      em_.spec_rejected->add(n - committed);
-      seq.drafter->observe(seq.result.tokens, committed - 1);
-    } else {
-      const std::span<const float> logits = seq.state->logits();
-      seq.fed += n;
-      if (seq.fed == seq.result.tokens.size() &&
-          seq.result.tokens.size() < seq.target_len) {
-        // Frontier: every known token is fed, so these logits (after a
-        // chunk, the chunk-final position's) extend the stream through the
-        // request's sampler. Replay never re-enters here for a token that
-        // already exists, so the RNG stream advances once per generated
-        // token, ever.
-        const std::size_t next = seq.sampler->sample(
-            logits, seq.result.tokens, seq.state->sampler_state());
-        seq.result.tokens.push_back(next);
-        EmittedTok tok;
-        tok.token = next;  // row kNoRow: sampled from state->logits()
-        emitted_[i].push_back(tok);
-        if (!seq.ttft_counted) {
-          seq.ttft_counted = true;
-          prio.ttft_steps +=
-              static_cast<std::size_t>(step_counter_ - seq.submit_step);
-          ++prio.first_tokens;
-        }
-        // Stop conditions (eos / stop token / stop sequence / budget). The
-        // final generated token is pure output either way — feeding it
-        // would spend a KV slot and a forward pass on logits nobody reads.
-        seq.result.finish_reason =
-            check_stop(seq.sampling, seq.result.tokens,
-                       seq.result.prompt_len, seq.target_len);
-        seq.done = seq.result.finish_reason != FinishReason::kNone;
-      }
-      if (seq.fed == seq.result.tokens.size() &&
-          seq.result.tokens.size() >= seq.target_len) {
-        seq.done = true;  // scoring request: every prompt token has been fed
+    const Sequence& seq = batch_[i];
+    if (observer_) {
+      for (std::size_t j = 0; j < seq.fed - fed_pos_[i]; ++j) {
+        observer_(seq.id, fed_pos_[i] + j, seq.state->logits_row(j));
       }
     }
-    // Served accounting is charged with tokens actually committed — a
-    // fair-share policy must not bill a request for rejected rows it never
-    // kept (committed == n on every non-speculative path).
-    seq.tokens_served += committed;
-    prio.tokens_served += committed;
-    em_.tokens_committed->add(committed);
-    scheduler_->on_served(seq.id, committed);
-    // Wall-clock latency per sampled token: TTFT on the request's first
-    // generated token, ITL between consecutive ones. Tokens of one verify
-    // burst share the step's timestamp, so intra-burst ITL is ~0 — the
-    // stream really does arrive in bursts.
-    for (std::size_t j = 0; j < emitted_[i].size(); ++j) {
-      if (!seq.has_token) {
-        seq.has_token = true;
-        em_.ttft_ms->observe(to_ms(now_tp - seq.submit_tp));
-      } else {
-        em_.itl_ms->observe(to_ms(now_tp - seq.last_token_tp));
+    // Streamed tokens follow their positions' logits, in generation order;
+    // kNone reason means the stream continues past that token.
+    const std::vector<EmittedTok>& emitted = emitted_[i];
+    for (std::size_t j = 0; j < emitted.size(); ++j) {
+      const EmittedTok& tok = emitted[j];
+      const std::size_t gen_index =
+          seq.result.generated() - emitted.size() + j;
+      const FinishReason reason = j + 1 == emitted.size()
+                                      ? seq.result.finish_reason
+                                      : FinishReason::kNone;
+      if (token_observer_) {
+        token_observer_(seq.id, gen_index, tok.token, reason);
       }
-      seq.last_token_tp = now_tp;
-    }
-    // This sequence's row share of the pass's worker time.
-    const double pass_ms = static_cast<double>(worker_us) / 1000.0 *
-                           static_cast<double>(n) /
-                           static_cast<double>(rows_fed_total);
-    if (spec) {
-      em_.spec_verify_ms->observe(pass_ms);
-    } else if (n > 1) {
-      em_.prefill_chunk_ms->observe(pass_ms);
-    } else {
-      em_.decode_ms->observe(pass_ms);
-    }
-    trace_.emit({.kind = spec ? TraceEventKind::kSpecBurst
-                              : (n > 1 ? TraceEventKind::kChunk
-                                       : TraceEventKind::kDecode),
-                 .ts_us = forward_end_us,
-                 .dur_us = worker_us * n / rows_fed_total,
-                 .step = step_counter_,
-                 .request = seq.id,
-                 .a = n,
-                 .b = fed_pos_[i],
-                 .c = n * kv_row_bytes_,
-                 .d = spec ? committed : 0});
-  }
-
-  // Observer pass: sequence states (and their logits buffers) are all still
-  // alive. Within a chunk the observer sees every fed position in order,
-  // exactly as a token-by-token run would have reported it. A throw here
-  // propagates to the caller with the engine in a consistent state; the
-  // remaining observer calls of this step are skipped.
-  if (observer_ || token_observer_ || logprob_observer_) {
-    for (std::size_t i = 0; i < decoded; ++i) {
-      const Sequence& seq = batch_[i];
-      // Rows that survived the step: the full budget on every plain path,
-      // only the committed prefix of a speculative burst — rejected rows'
-      // positions no longer exist, and a baseline run never fed them.
-      const std::size_t rows = seq.fed - fed_pos_[i];
-      if (observer_) {
-        if (budgets_[i] == 1) {
-          observer_(seq.id, fed_pos_[i], seq.state->logits());
-        } else {
-          for (std::size_t j = 0; j < rows; ++j) {
-            observer_(seq.id, fed_pos_[i] + j,
-                      seq.state->chunk_logits_row(j));
-          }
-        }
-      }
-      // Streamed tokens follow their positions' logits, in generation
-      // order; kNone reason means the stream continues past that token.
-      for (std::size_t j = 0; j < emitted_[i].size(); ++j) {
-        const EmittedTok& tok = emitted_[i][j];
-        const std::size_t gen_index =
-            seq.result.generated() - emitted_[i].size() + j;
-        const FinishReason reason = j + 1 == emitted_[i].size()
-                                        ? seq.result.finish_reason
-                                        : FinishReason::kNone;
-        if (token_observer_) {
-          token_observer_(seq.id, gen_index, tok.token, reason);
-        }
-        if (logprob_observer_) {
-          const std::span<const float> row_logits =
-              tok.row == EmittedTok::kNoRow ? seq.state->logits()
-                                            : seq.state->chunk_logits_row(
-                                                  tok.row);
-          TokenLogprobInfo info;
-          info.token = tok.token;
-          info.logprob = token_logprob(row_logits, tok.token);
-          info.speculative = tok.speculative;
-          info.draft_hit = tok.draft_hit;
-          logprob_observer_(seq.id, gen_index, info);
-        }
+      if (logprob_observer_) {
+        TokenLogprobInfo info;
+        info.token = tok.token;
+        info.logprob =
+            token_logprob(seq.state->logits_row(tok.row), tok.token);
+        info.speculative = tok.speculative;
+        info.draft_hit = tok.draft_hit;
+        logprob_observer_(seq.id, gen_index, info);
       }
     }
   }
+}
 
-  // Retire pass: stable in-place compaction, no per-step allocation.
+void ServingEngine::retire_done() {
+  // Stable in-place compaction, no per-step allocation.
   std::size_t keep = 0;
-  for (std::size_t i = 0; i < decoded; ++i) {
+  for (std::size_t i = 0; i < batch_.size(); ++i) {
     if (batch_[i].done) {
       finish(std::move(batch_[i]), RequestStatus::kFinished);
     } else {
@@ -952,23 +897,6 @@ std::size_t ServingEngine::step() {
     }
   }
   batch_.resize(keep);
-
-  // Step record: per-sequence events above precede it in emission order,
-  // which is what write_step_trace's single forward scan groups on.
-  const std::uint64_t step_end_us = trace_.now_us();
-  em_.step_ms->observe(static_cast<double>(step_end_us - step_t0_us) /
-                       1000.0);
-  trace_.emit({.kind = TraceEventKind::kStep,
-               .ts_us = step_end_us,
-               .dur_us = step_end_us - step_t0_us,
-               .step = step_counter_,
-               .a = decoded,
-               .b = rows_fed_total,
-               .c = kv_pool_->blocks_in_use(),
-               .d = kv_pool_->free_blocks()});
-  em_.running->set(static_cast<double>(batch_.size()));
-  em_.queued->set(static_cast<double>(queue_.size()));
-  return decoded;
 }
 
 void ServingEngine::run() {
@@ -984,14 +912,18 @@ ServingEngine::Stats ServingEngine::stats() const {
   s.blocks_reclaimable = kv_pool_->reclaimable_blocks();
   s.running = batch_.size();
   s.queued = queue_.size();
-  s.evictions = stat_evictions_;
-  s.preemptions = stat_preemptions_;
-  s.tokens_decoded = stat_tokens_;
-  s.steps = static_cast<std::size_t>(step_counter_);
-  s.spec_bursts = stat_spec_bursts_;
-  s.spec_drafted = stat_spec_drafted_;
-  s.spec_accepted = stat_spec_accepted_;
-  s.spec_rejected = stat_spec_rejected_;
+  // The cumulative counts are the registry's counters: one source each.
+  const auto count = [](const Counter* c) {
+    return static_cast<std::size_t>(c->value());
+  };
+  s.evictions = count(em_.evictions);
+  s.preemptions = count(em_.preemptions);
+  s.tokens_decoded = count(em_.tokens_decoded);
+  s.steps = count(em_.steps);
+  s.spec_bursts = count(em_.spec_bursts);
+  s.spec_drafted = count(em_.spec_drafted);
+  s.spec_accepted = count(em_.spec_accepted);
+  s.spec_rejected = count(em_.spec_rejected);
   if (prefix_cache_ != nullptr) {
     const auto p = prefix_cache_->stats();
     s.prefix_hits = p.hits;

@@ -43,13 +43,12 @@
 // request; policies only reorder who gets them first.
 //
 // Chunked prefill (ServingConfig::prefill_chunk_tokens > 1): sequences
-// with multiple known tokens feed them through
-// PreparedModel::prefill_chunk — one multi-token pass per step, bitwise
-// identical to that many single steps in every kv_mode — so a long prompt
-// reaches its first generated token in prompt/chunk steps instead of
-// prompt steps, and short requests interleave with it instead of waiting
-// behind a token-by-token prefill. The logits observer still fires once
-// per fed position.
+// with multiple known tokens feed them as one multi-row item of the step's
+// PreparedModel::forward — bitwise identical to that many single steps in
+// every kv_mode — so a long prompt reaches its first generated token in
+// prompt/chunk steps instead of prompt steps, and short requests
+// interleave with it instead of waiting behind a token-by-token prefill.
+// The logits observer still fires once per fed position.
 //
 // Sampling (Request::sampling, see sampler.h): once a sequence's known
 // tokens are fed, the frontier logits — after a chunk, the chunk-final
@@ -67,15 +66,17 @@
 //
 // Speculative decoding (ServingConfig::speculative, see drafter.h): a
 // per-request Drafter proposes k continuation tokens for a sequence at its
-// generation frontier; the engine feeds [frontier, d1..dk] through
-// prefill_chunk as one verify burst — block reservation covers all k+1 rows
+// generation frontier; the engine feeds [frontier, d1..dk] as one verify
+// burst item of the step's forward — block reservation covers all k+1 rows
 // up front — and then walks the per-row logits serially, running the
 // request's own sampler on each row (one draw per generated token, exactly
-// the non-speculative discipline). Each sampled token is committed
-// unconditionally; the burst continues only while the sample matches the
-// next fed draft, and the rejected suffix is rolled back bitwise with
-// SequenceState::spec_rollback (quantized boundary blocks are snapshot-
-// replayed, so the kept prefix stays canonical and prefix-cacheable).
+// the non-speculative discipline: a plain item and a burst go through the
+// same commit walk, which samples a plain item's last row only). Each
+// sampled token is committed unconditionally; the burst continues only
+// while the sample matches the next fed draft, and the rejected suffix is
+// rolled back bitwise with SequenceState::spec_rollback (quantized
+// boundary blocks are snapshot-replayed, so the kept prefix stays
+// canonical and prefix-cacheable).
 // Committed output is therefore BITWISE identical to the non-speculative
 // engine for every sampler, seed, kv_mode, thread count, and preemption
 // pattern — speculation only changes how many model passes it takes. Under
@@ -141,10 +142,10 @@
 // of series:
 //   * deterministic counters (serving.steps / tokens_decoded /
 //     tokens_committed / admissions / preemptions / evictions / finished /
-//     stalls / budget_shrinks / spec_*) that exactly mirror the
-//     corresponding Stats fields — same increments, same call sites — plus
-//     the subsystems' own counters (prefix_cache.*, kv_pool.*,
-//     scheduler.*, drafter.*);
+//     stalls / budget_shrinks / spec_*) — stats() reads its cumulative
+//     fields (steps, tokens_decoded, preemptions, evictions, spec_*) from
+//     them, so each count has one source — plus the subsystems' own
+//     counters (prefix_cache.*, kv_pool.*, scheduler.*, drafter.*);
 //   * wall-clock latency histograms (serving.queue_wait_ms / ttft_ms /
 //     itl_ms / step_ms / forward_ms / decode_ms / prefill_chunk_ms /
 //     spec_verify_ms) with p50/p95/p99 extraction — TTFT and inter-token
@@ -277,9 +278,9 @@ struct ServingConfig {
   /// Upper bound on tokens one sequence may process in one step (its
   /// prefill chunk). 1 (the default) reproduces single-token stepping
   /// decision-for-decision; larger values let prompts prefill in
-  /// multi-token chunks (PreparedModel::prefill_chunk — bitwise identical
-  /// results in every kv_mode, fewer steps and one KV-prefix pass per
-  /// layer per chunk instead of per token).
+  /// multi-token chunks (multi-row items of the step's
+  /// PreparedModel::forward — bitwise identical results in every kv_mode,
+  /// fewer steps, and each weight read once per step for the whole chunk).
   std::size_t prefill_chunk_tokens = 1;
   /// Speculative multi-token decoding (see drafter.h and the header
   /// comment): when enabled(), sequences at their generation frontier
@@ -402,7 +403,8 @@ class ServingEngine {
   };
 
   /// Point-in-time serving counters. Block counts read the underlying pool,
-  /// so with a shared pool they include other engines' usage.
+  /// so with a shared pool they include other engines' usage; the
+  /// cumulative counts read the engine's serving.* registry counters.
   struct Stats {
     std::size_t blocks_in_use = 0;
     std::size_t blocks_free = 0;
@@ -450,7 +452,7 @@ class ServingEngine {
   [[nodiscard]] Stats stats() const;
 
   /// Point-in-time snapshot of the engine's metrics registry: the
-  /// deterministic counters mirroring Stats, the wall-clock latency
+  /// deterministic counters Stats reads, the wall-clock latency
   /// histograms (p50/p95/p99), and the bound subsystem metrics
   /// (prefix_cache.*, kv_pool.*, scheduler.*, drafter.*) — see the
   /// Observability block in the header comment. Serial-phase only, like
@@ -626,32 +628,59 @@ class ServingEngine {
     // step-denominated counterparts above (submit_step, wait_counted,
     // ttft_counted) stay deterministic.
     std::chrono::steady_clock::time_point submit_tp{};
-    std::chrono::steady_clock::time_point last_token_tp{};
-    bool has_token = false;  // last_token_tp is valid
+    std::chrono::steady_clock::time_point last_token_tp{};  // if ttft_counted
     std::unique_ptr<SequenceState> state;  // kept across preemption
   };
 
   /// One sampled token of the current step (per-step scratch): enough to
-  /// replay the observer cadence after bookkeeping — which logits row
-  /// produced it (kNoRow: the sequence's frontier logits buffer) and its
-  /// speculative provenance.
+  /// replay the observer cadence after bookkeeping — the logits row that
+  /// produced it and its speculative provenance.
   struct EmittedTok {
-    static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
     std::size_t token = 0;
-    std::size_t row = kNoRow;  // chunk logits row, kNoRow = state->logits()
+    std::size_t row = 0;  // SequenceState::logits_row index
     bool speculative = false;
     bool draft_hit = false;
   };
+  /// The step's model pass, as commit() charges it: when it ended, its
+  /// worker time (wall time x max(n_threads, 1)), the rows it fed, and the
+  /// one wall-clock anchor of the serial phase after it.
+  struct PassTiming {
+    std::uint64_t end_us = 0;
+    std::uint64_t worker_us = 0;
+    std::size_t rows = 0;
+    std::chrono::steady_clock::time_point now{};
+  };
 
+  // step() phases, in order (see step() for how they chain).
   void admit_from_queue();
+  /// Retires sequences a prior step completed but could not retire (its
+  /// observer threw after bookkeeping) and evicts sequences whose KV cache
+  /// is exhausted, refilling freed slots from the queue.
+  void retire_stale();
+  /// Fills budgets_: the scheduler's per-sequence token counts, clamped,
+  /// then widened to a verify burst where a drafter proposes one.
+  void plan_budgets();
   /// Resolves pool pressure for the planned budgets by budget-shrink, then
   /// cache-reclaim/preemption/eviction. False: a shared pool's blocks are
   /// transiently held by another engine and this step must stall (no
   /// decode) until they free up.
   bool ensure_kv_capacity(std::vector<std::size_t>& budgets);
+  /// Reserves every sequence's blocks, then feeds the whole batch through
+  /// one PreparedModel::forward and merges its profile.
+  PassTiming run_forward();
+  /// Serial bookkeeping of slot i after the pass: advances its fed counter,
+  /// samples and commits tokens, and charges the pass to it.
+  void commit(std::size_t i, const PassTiming& pass);
+  /// Replays the step's logits and sampled tokens to the observers.
+  void notify_observers(std::size_t decoded);
+  /// Retires the sequences this step completed (stable compaction).
+  void retire_done();
   /// Downgrades the youngest queued sequence still holding a kept KV
   /// prefix to full recompute, returning its blocks. False if none holds.
   bool reclaim_queued_prefix();
+  /// Counts one preemption of `seq` (serving.preemptions) and traces it.
+  void record_preemption(const Sequence& seq, std::size_t keep,
+                         std::size_t fed_before);
   /// True once the pool has `target` free blocks, reclaiming LRU prefix
   /// cache entries (this engine's first, then siblings' via the pool) to
   /// get there if needed.
@@ -741,13 +770,6 @@ class ServingEngine {
   TokenLogprobObserver logprob_observer_;
   RequestId next_id_ = 1;
   std::uint64_t step_counter_ = 0;
-  std::size_t stat_evictions_ = 0;
-  std::size_t stat_preemptions_ = 0;
-  std::size_t stat_tokens_ = 0;
-  std::size_t stat_spec_bursts_ = 0;
-  std::size_t stat_spec_drafted_ = 0;
-  std::size_t stat_spec_accepted_ = 0;
-  std::size_t stat_spec_rejected_ = 0;
 };
 
 }  // namespace opal

@@ -209,7 +209,7 @@ TEST(Forward, ItemsLargerThanOnePassMatchSingleSteps) {
     SequenceState ref = model->make_sequence(pool);
     for (std::size_t t = 0; t < b_tokens.size(); ++t) {
       const auto logits = model->step(ref, b_tokens[t]);
-      const auto row = b.chunk_logits_row(t);
+      const auto row = b.logits_row(t);
       ASSERT_EQ(std::vector<float>(row.begin(), row.end()),
                 std::vector<float>(logits.begin(), logits.end()))
           << to_string(mode) << " row " << t;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/trace.h"
@@ -100,8 +101,14 @@ TEST(Registry, HandlesAreStableAndNamed) {
   Histogram& h = reg.histogram("h");
   // Registering more metrics must not move earlier handles.
   for (int i = 0; i < 100; ++i) {
-    reg.counter("c" + std::to_string(i));
-    reg.histogram("h" + std::to_string(i));
+    // Appended rather than "c" + std::to_string(i): GCC 12's libstdc++
+    // trips a -Wrestrict false positive on operator+(const char*, string&&).
+    std::string counter_name = "c";
+    counter_name += std::to_string(i);
+    std::string histogram_name = "h";
+    histogram_name += std::to_string(i);
+    reg.counter(counter_name);
+    reg.histogram(histogram_name);
   }
   EXPECT_EQ(&reg.counter("a"), &a);
   EXPECT_EQ(&reg.gauge("g"), &g);

@@ -1,11 +1,13 @@
 // Observability must observe, never steer: a traced + metered engine
 // produces bitwise identical outputs to an instrumentation-silent one in
-// every kv_mode, the registry's counters exactly mirror the Stats fields
-// they recount, and the latency histograms hold exactly one TTFT sample
-// per request and one inter-token sample per non-first generated token.
+// every kv_mode, Stats reads the registry's counters and the trace's
+// events recount them, and the latency histograms hold exactly one TTFT
+// sample per request and one inter-token sample per non-first generated
+// token.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "eval/schemes.h"
@@ -56,6 +58,8 @@ struct Served {
   ServingEngine::Stats stats;
   MetricsRegistry::Snapshot snap;
   std::uint64_t trace_events = 0;
+  std::uint64_t truncated_events = 0;
+  std::vector<TraceEvent> events;
 };
 
 Served serve(const std::shared_ptr<const PreparedModel>& model,
@@ -73,7 +77,41 @@ Served serve(const std::shared_ptr<const PreparedModel>& model,
   out.stats = engine.stats();
   out.snap = engine.metrics();
   out.trace_events = engine.tracer().total_emitted();
+  out.truncated_events = engine.tracer().truncated_events();
+  out.events = engine.tracer().events();
   return out;
+}
+
+// The trace and Stats are two records of one run: each kPreempt / kEvict /
+// kSpecBurst event is one counted occurrence, and the rows of the pass
+// events (decode, chunk, spec-burst) sum to tokens_decoded.
+void expect_trace_matches_stats(const Served& r, const std::string& where) {
+  ASSERT_EQ(r.truncated_events, 0u) << where;
+  std::size_t preempts = 0, evicts = 0, bursts = 0, rows = 0;
+  for (const TraceEvent& e : r.events) {
+    switch (e.kind) {
+      case TraceEventKind::kPreempt:
+        ++preempts;
+        break;
+      case TraceEventKind::kEvict:
+        ++evicts;
+        break;
+      case TraceEventKind::kSpecBurst:
+        ++bursts;
+        rows += e.a;
+        break;
+      case TraceEventKind::kDecode:
+      case TraceEventKind::kChunk:
+        rows += e.a;
+        break;
+      default:
+        break;
+    }
+  }
+  EXPECT_EQ(preempts, r.stats.preemptions) << where;
+  EXPECT_EQ(evicts, r.stats.evictions) << where;
+  EXPECT_EQ(bursts, r.stats.spec_bursts) << where;
+  EXPECT_EQ(rows, r.stats.tokens_decoded) << where;
 }
 
 ServingConfig stressed_config() {
@@ -107,6 +145,8 @@ TEST(Observability, TracedRunBitwiseIdenticalEveryKvMode) {
         << to_string(mode);
     EXPECT_EQ(traced.stats.tokens_decoded, base.stats.tokens_decoded)
         << to_string(mode);
+    EXPECT_GT(traced.stats.preemptions, 0u) << to_string(mode);
+    expect_trace_matches_stats(traced, to_string(mode));
   }
 }
 
@@ -124,9 +164,11 @@ TEST(Observability, TracedRunIdenticalUnderSpeculation) {
   EXPECT_EQ(traced.tokens, base.tokens);
   EXPECT_EQ(traced.stats.spec_bursts, base.stats.spec_bursts);
   EXPECT_EQ(traced.stats.spec_accepted, base.stats.spec_accepted);
+  EXPECT_GT(traced.stats.spec_bursts, 0u);
+  expect_trace_matches_stats(traced, "speculative");
 }
 
-// --- counters exactly mirror Stats ---
+// --- Stats and the registry counters agree ---
 
 TEST(Observability, CountersMirrorStats) {
   const auto model = prepared(KvQuantMode::kInt8);

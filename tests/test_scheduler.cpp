@@ -132,9 +132,9 @@ TEST(PrefillChunk, MatchesTokenByTokenBitwise_AllKvModes) {
     for (const std::size_t n : cuts) {
       const auto last = model.prefill_chunk(
           chunked, std::span<const std::size_t>(tokens).subspan(fed, n));
-      ASSERT_EQ(chunked.chunk_tokens(), n);
+      ASSERT_EQ(chunked.rows(), n);
       for (std::size_t j = 0; j < n; ++j) {
-        const auto row = chunked.chunk_logits_row(j);
+        const auto row = chunked.logits_row(j);
         ASSERT_EQ(ref_logits[fed + j],
                   std::vector<float>(row.begin(), row.end()))
             << to_string(mode) << " chunk position " << fed + j;
@@ -145,6 +145,19 @@ TEST(PrefillChunk, MatchesTokenByTokenBitwise_AllKvModes) {
       fed += n;
     }
     ASSERT_EQ(chunked.position(), ref.position());
+
+    // One buffer: a plain step after the chunks leaves exactly one row,
+    // which is logits(); the wider chunk's stale rows are unreadable.
+    const std::size_t next = tokens.front();
+    const auto ref_last = model.step(ref, next);
+    (void)model.step(chunked, next);
+    ASSERT_EQ(chunked.rows(), 1u);
+    const auto row0 = chunked.logits_row(0);
+    EXPECT_EQ(row0.data(), chunked.logits().data());
+    EXPECT_EQ(std::vector<float>(row0.begin(), row0.end()),
+              std::vector<float>(ref_last.begin(), ref_last.end()))
+        << to_string(mode);
+    EXPECT_THROW((void)chunked.logits_row(1), std::invalid_argument);
   }
 }
 
