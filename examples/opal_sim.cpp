@@ -3,13 +3,15 @@
 //   opal_sim [model] [device] [seq_len] [n_tokens]
 //     model:   7b | 13b | 70b | opt6.7b | opt13b      (default 70b)
 //     device:  bf16 | owq | opal47 | opal35           (default opal47)
-//     seq_len: starting KV length                     (default 1024)
-//     n_tokens: tokens to decode (averaged)           (default 16)
+//     seq_len: starting KV length, >= 1               (default 1024)
+//     n_tokens: tokens to decode (averaged), >= 1     (default 16)
 //
 // Prints the per-token latency/energy report plus the device's core area,
 // buffers, and Table-3-style breakdown — the numbers a deployment study
-// would start from.
+// would start from. An unknown model or device, or a count that is not a
+// positive decimal integer, exits with status 2.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -37,17 +39,27 @@ opal::DeviceConfig parse_device(const std::string& name) {
   std::exit(2);
 }
 
+std::size_t parse_count(const char* what, const std::string& text) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value == 0) {
+    std::fprintf(stderr, "%s must be a positive integer, got '%s'\n", what,
+                 text.c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace opal;
   const auto model = parse_model(argc > 1 ? argv[1] : "70b");
   const auto device = parse_device(argc > 2 ? argv[2] : "opal47");
-  const std::size_t seq = argc > 3
-                              ? static_cast<std::size_t>(std::atol(argv[3]))
-                              : 1024;
+  const std::size_t seq = parse_count("seq_len", argc > 3 ? argv[3] : "1024");
   const std::size_t n_tokens =
-      argc > 4 ? static_cast<std::size_t>(std::atol(argv[4])) : 16;
+      parse_count("n_tokens", argc > 4 ? argv[4] : "16");
 
   std::printf("model  : %s (%zu layers, d_model %zu, d_ffn %zu, ~%.1fB "
               "params)\n",

@@ -241,116 +241,113 @@ OpBytes op_bytes(const DeviceConfig& device, const ModelConfig& model,
   return bytes;
 }
 
-}  // namespace
+/// One op priced on one device: per-core compute time, DRAM streaming time,
+/// and the energy terms it adds.
+struct OpPrice {
+  double compute_s = 0.0;  // cores tile the op's output rows
+  double dram_s = 0.0;     // DRAM streaming is shared by the cores
+  double latency_s = 0.0;  // max(compute_s, dram_s)
+  double dram_bytes = 0.0;
+  double core_energy_j = 0.0;
+  double dram_j = 0.0;
+  double weight_buf_j = 0.0;  // weight-buffer dynamic
+  double act_buf_j = 0.0;     // activation-buffer dynamic
+  std::size_t int_macs = 0;
+  std::size_t fp_macs = 0;
 
-std::vector<OpTraceEntry> trace_token(const DeviceConfig& device,
-                                      const ModelConfig& model,
-                                      std::size_t seq_len) {
-  const auto ops = token_ops(model, seq_len, device.weight_bits, device.act,
-                             device.log2_softmax, device.quantize_acts);
-  const OpalCore core(device.core, device.tech);
-  std::vector<OpTraceEntry> trace;
-  trace.reserve(ops.size());
-  for (const auto& op : ops) {
-    const OpCost cost = device.kind == DeviceKind::kOpal
-                            ? cost_op_opal(core, device, op)
-                            : cost_op_baseline(device, op);
-    const auto bytes = op_bytes(device, model, op);
-    const double compute_s =
-        cost.compute_s / static_cast<double>(device.n_cores);
-    const double dram_s = device.dram.transfer_seconds(
-        static_cast<std::size_t>(bytes.dram));
-    OpTraceEntry entry;
-    entry.name = op.name;
-    entry.kind = op.kind;
-    entry.latency_s = std::max(compute_s, dram_s);
-    entry.dram_bytes = bytes.dram;
-    entry.core_energy_j = cost.core_energy_j;
-    entry.dram_bound = dram_s >= compute_s;
-    trace.push_back(std::move(entry));
+  [[nodiscard]] double energy_j() const {
+    return core_energy_j + dram_j + weight_buf_j + act_buf_j;
   }
-  return trace;
+};
+
+/// A device's core and on-chip buffers: the one place an op is priced,
+/// shared by simulate_step and trace_token.
+class OpPricer {
+ public:
+  OpPricer(const DeviceConfig& device, const ModelConfig& model)
+      : device_(device),
+        model_(model),
+        core_(device.core, device.tech),
+        weight_buffer_(device.weight_buffer_bytes(), device.sram),
+        act_buffer_(device.act_buffer_bytes(), device.sram),
+        softmax_buffer_(2 * 1024, device.sram) {}
+
+  [[nodiscard]] OpPrice price(const TokenOp& op) const {
+    const OpCost cost = device_.kind == DeviceKind::kOpal
+                            ? cost_op_opal(core_, device_, op)
+                            : cost_op_baseline(device_, op);
+    const OpBytes bytes = op_bytes(device_, model_, op);
+    const auto dram_bytes = static_cast<std::size_t>(bytes.dram);
+    OpPrice p;
+    p.compute_s = cost.compute_s / static_cast<double>(device_.n_cores);
+    p.dram_s = device_.dram.transfer_seconds(dram_bytes);
+    p.latency_s = std::max(p.compute_s, p.dram_s);
+    p.dram_bytes = bytes.dram;
+    p.core_energy_j = cost.core_energy_j;
+    p.dram_j = device_.dram.transfer_energy_j(dram_bytes);
+    p.weight_buf_j = weight_buffer_.read_energy_j(
+        static_cast<std::size_t>(bytes.weight_buffer));
+    p.act_buf_j = act_buffer_.read_energy_j(
+        static_cast<std::size_t>(bytes.act_buffer));
+    p.int_macs = cost.int_macs;
+    p.fp_macs = cost.fp_macs;
+    return p;
+  }
+
+  /// Buffer leakage over `latency_s` of wall time.
+  [[nodiscard]] double weight_leak_j(double latency_s) const {
+    return weight_buffer_.leakage_energy_j(latency_s);
+  }
+  [[nodiscard]] double act_leak_j(double latency_s) const {
+    return act_buffer_.leakage_energy_j(latency_s) +
+           softmax_buffer_.leakage_energy_j(latency_s);
+  }
+
+ private:
+  const DeviceConfig& device_;
+  const ModelConfig& model_;
+  OpalCore core_;
+  SramModel weight_buffer_;
+  SramModel act_buffer_;
+  SramModel softmax_buffer_;
+};
+
+std::vector<TokenOp> device_step_ops(const DeviceConfig& device,
+                                     const ModelConfig& model,
+                                     const StepComposition& step) {
+  return step_ops(model, step, device.weight_bits, device.act,
+                  device.log2_softmax, device.quantize_acts);
 }
 
-namespace {
-
-TokenReport simulate_ops(const DeviceConfig& device, const ModelConfig& model,
-                         const std::vector<TokenOp>& ops);
+/// Decoding one token at KV length `seq_len`: a single 1-row pass.
+StepComposition decode_pass(std::size_t seq_len) {
+  require(seq_len >= 1, "simulate_token/trace_token: seq_len must be >= 1");
+  StepComposition step;
+  step.seqs.push_back({0, seq_len - 1, 1});
+  return step;
+}
 
 }  // namespace
 
 TokenReport simulate_token(const DeviceConfig& device,
                            const ModelConfig& model, std::size_t seq_len) {
-  return simulate_ops(device, model,
-                      token_ops(model, seq_len, device.weight_bits,
-                                device.act, device.log2_softmax,
-                                device.quantize_acts));
+  return simulate_step(device, model, decode_pass(seq_len)).totals;
 }
 
-TokenReport simulate_prefill(const DeviceConfig& device,
-                             const ModelConfig& model,
-                             std::size_t prompt_len) {
-  return simulate_ops(device, model,
-                      prefill_ops(model, prompt_len, device.weight_bits,
-                                  device.act, device.log2_softmax,
-                                  device.quantize_acts));
-}
-
-namespace {
-
-TokenReport simulate_ops(const DeviceConfig& device, const ModelConfig& model,
-                         const std::vector<TokenOp>& ops) {
-  TokenReport report;
-  report.device = device.name;
-  report.total_macs = total_macs(ops);
-
-  const OpalCore core(device.core, device.tech);
-  const SramModel weight_buffer(device.weight_buffer_bytes(), device.sram);
-  const SramModel act_buffer(device.act_buffer_bytes(), device.sram);
-  const SramModel softmax_buffer(2 * 1024, device.sram);
-
-  double latency = 0.0;
-  double dram_energy = 0.0;
-  double weight_buf_dyn = 0.0;
-  double act_buf_dyn = 0.0;
-  std::size_t int_macs = 0, fp_macs = 0;
-
-  for (const auto& op : ops) {
-    const OpCost cost = device.kind == DeviceKind::kOpal
-                            ? cost_op_opal(core, device, op)
-                            : cost_op_baseline(device, op);
-    const auto bytes = op_bytes(device, model, op);
-    const double dram_s = device.dram.transfer_seconds(
-        static_cast<std::size_t>(bytes.dram));
-    // Cores tile the output rows of each op; DRAM streaming is shared.
-    const double compute_s =
-        cost.compute_s / static_cast<double>(device.n_cores);
-    latency += std::max(compute_s, dram_s);
-    dram_energy += device.dram.transfer_energy_j(
-        static_cast<std::size_t>(bytes.dram));
-    weight_buf_dyn += weight_buffer.read_energy_j(
-        static_cast<std::size_t>(bytes.weight_buffer));
-    act_buf_dyn += act_buffer.read_energy_j(
-        static_cast<std::size_t>(bytes.act_buffer));
-    report.core_energy_j += cost.core_energy_j;
-    int_macs += cost.int_macs;
-    fp_macs += cost.fp_macs;
+std::vector<OpTraceEntry> trace_token(const DeviceConfig& device,
+                                      const ModelConfig& model,
+                                      std::size_t seq_len) {
+  const OpPricer pricer(device, model);
+  const auto ops = device_step_ops(device, model, decode_pass(seq_len));
+  std::vector<OpTraceEntry> trace;
+  trace.reserve(ops.size());
+  for (const TokenOp& op : ops) {
+    const OpPrice p = pricer.price(op);
+    trace.push_back({op.name, op.kind, p.latency_s, p.dram_bytes,
+                     p.core_energy_j, p.dram_s >= p.compute_s});
   }
-
-  report.latency_s = latency;
-  report.mem_access_j = dram_energy + weight_buf_dyn + act_buf_dyn;
-  report.weight_leak_j = weight_buffer.leakage_energy_j(latency);
-  report.act_leak_j = act_buffer.leakage_energy_j(latency) +
-                      softmax_buffer.leakage_energy_j(latency);
-  report.int_mac_fraction =
-      int_macs + fp_macs == 0
-          ? 0.0
-          : static_cast<double>(int_macs) /
-                static_cast<double>(int_macs + fp_macs);
-  return report;
+  return trace;
 }
-
-}  // namespace
 
 TokenReport simulate_generation(const DeviceConfig& device,
                                 const ModelConfig& model,
@@ -395,19 +392,12 @@ StepReport simulate_step(const DeviceConfig& device, const ModelConfig& model,
   const std::size_t total_rows = step.total_rows();
   if (total_rows == 0) return report;
 
-  const auto ops =
-      step_ops(model, step, device.weight_bits, device.act,
-               device.log2_softmax, device.quantize_acts);
+  const auto ops = device_step_ops(device, model, step);
   report.totals.total_macs = total_macs(ops);
+  const OpPricer pricer(device, model);
 
-  const OpalCore core(device.core, device.tech);
-  const SramModel weight_buffer(device.weight_buffer_bytes(), device.sram);
-  const SramModel act_buffer(device.act_buffer_bytes(), device.sram);
-  const SramModel softmax_buffer(2 * 1024, device.sram);
-
-  // Same accumulation order as simulate_ops, so a single rows == 1 pass
-  // reproduces simulate_token bitwise. Attribution runs on separate
-  // accumulators and never feeds back into the totals.
+  // Attribution runs on separate accumulators and never feeds back into
+  // the totals.
   double latency = 0.0;
   double dram_energy = 0.0;
   double weight_buf_dyn = 0.0;
@@ -416,59 +406,43 @@ StepReport simulate_step(const DeviceConfig& device, const ModelConfig& model,
   std::size_t int_macs = 0, fp_macs = 0;
 
   for (const auto& op : ops) {
-    const OpCost cost = device.kind == DeviceKind::kOpal
-                            ? cost_op_opal(core, device, op)
-                            : cost_op_baseline(device, op);
-    const auto bytes = op_bytes(device, model, op);
-    const double dram_s = device.dram.transfer_seconds(
-        static_cast<std::size_t>(bytes.dram));
-    const double compute_s =
-        cost.compute_s / static_cast<double>(device.n_cores);
-    const double op_latency = std::max(compute_s, dram_s);
-    latency += op_latency;
-    const double op_dram_j = device.dram.transfer_energy_j(
-        static_cast<std::size_t>(bytes.dram));
-    const double op_wbuf_j = weight_buffer.read_energy_j(
-        static_cast<std::size_t>(bytes.weight_buffer));
-    const double op_abuf_j = act_buffer.read_energy_j(
-        static_cast<std::size_t>(bytes.act_buffer));
-    dram_energy += op_dram_j;
-    weight_buf_dyn += op_wbuf_j;
-    act_buf_dyn += op_abuf_j;
-    report.totals.core_energy_j += cost.core_energy_j;
-    int_macs += cost.int_macs;
-    fp_macs += cost.fp_macs;
+    const OpPrice p = pricer.price(op);
+    latency += p.latency_s;
+    dram_energy += p.dram_j;
+    weight_buf_dyn += p.weight_buf_j;
+    act_buf_dyn += p.act_buf_j;
+    report.totals.core_energy_j += p.core_energy_j;
+    int_macs += p.int_macs;
+    fp_macs += p.fp_macs;
 
-    report.dram_bytes += bytes.dram;
-    report.compute_s += compute_s;
-    report.dram_s += dram_s;
-    if (dram_s >= compute_s) dram_bound_latency += op_latency;
+    report.dram_bytes += p.dram_bytes;
+    report.compute_s += p.compute_s;
+    report.dram_s += p.dram_s;
+    if (p.dram_s >= p.compute_s) dram_bound_latency += p.latency_s;
 
     // Attribution: sequence-owned attention ops in full; batch-shared ops
     // (weights, quantize) by fed-rows share.
-    const double op_energy =
-        cost.core_energy_j + op_dram_j + op_wbuf_j + op_abuf_j;
+    const double op_energy = p.energy_j();
     if (op.owner != TokenOp::kShared) {
       SeqStepCost& c = report.seqs[op.owner];
-      c.latency_s += op_latency;
+      c.latency_s += p.latency_s;
       c.energy_j += op_energy;
-      c.dram_bytes += bytes.dram;
+      c.dram_bytes += p.dram_bytes;
     } else {
       for (SeqStepCost& c : report.seqs) {
         const double share = static_cast<double>(c.rows) /
                              static_cast<double>(total_rows);
-        c.latency_s += op_latency * share;
+        c.latency_s += p.latency_s * share;
         c.energy_j += op_energy * share;
-        c.dram_bytes += bytes.dram * share;
+        c.dram_bytes += p.dram_bytes * share;
       }
     }
   }
 
   report.totals.latency_s = latency;
   report.totals.mem_access_j = dram_energy + weight_buf_dyn + act_buf_dyn;
-  report.totals.weight_leak_j = weight_buffer.leakage_energy_j(latency);
-  report.totals.act_leak_j = act_buffer.leakage_energy_j(latency) +
-                             softmax_buffer.leakage_energy_j(latency);
+  report.totals.weight_leak_j = pricer.weight_leak_j(latency);
+  report.totals.act_leak_j = pricer.act_leak_j(latency);
   report.totals.int_mac_fraction =
       int_macs + fp_macs == 0
           ? 0.0

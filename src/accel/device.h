@@ -8,10 +8,12 @@
 //             traffic) but BF16 activations and BF16 compute, per the paper.
 //   * OPAL  — OWQ weights + MX-OPAL activations on the OPAL core.
 //
-// Per-token latency is the sum over ops of max(compute time, DRAM streaming
-// time); energy splits into the Fig 8 components: core energy, memory access
-// energy (DRAM + global buffer dynamic), weight-buffer leakage, and
-// activation-buffer leakage (both scale with per-token latency).
+// Every pass — one decoded token, a whole-prompt prefill, a batched engine
+// step — is priced by simulate_step over its step_ops list. Latency is the
+// sum over ops of max(compute time, DRAM streaming time); energy splits into
+// the Fig 8 components: core energy, memory access energy (DRAM + global
+// buffer dynamic), weight-buffer leakage, and activation-buffer leakage (both
+// scale with the pass's latency).
 #pragma once
 
 #include <string>
@@ -114,7 +116,9 @@ struct TokenReport {
 /// choice).
 [[nodiscard]] double device_core_area_mm2(const DeviceConfig& device);
 
-/// Simulates generating one token at KV length `seq_len`.
+/// Simulates generating one token at KV length `seq_len` (>= 1): the totals
+/// of simulate_step over the single pass {start_len = seq_len - 1,
+/// rows = 1}.
 [[nodiscard]] TokenReport simulate_token(const DeviceConfig& device,
                                          const ModelConfig& model,
                                          std::size_t seq_len);
@@ -129,16 +133,13 @@ struct OpTraceEntry {
   bool dram_bound = false;
 };
 
-/// Per-op trace of one token (same model as simulate_token).
+/// Per-op trace of the pass simulate_token prices (seq_len >= 1): same op
+/// list and per-op pricing, so its latencies and core energies, summed in
+/// order, equal simulate_token's exactly. Attention ops are named
+/// `layerN.s0.{qk,softmax,av}`.
 [[nodiscard]] std::vector<OpTraceEntry> trace_token(
     const DeviceConfig& device, const ModelConfig& model,
     std::size_t seq_len);
-
-/// Simulates prefilling a `prompt_len`-token prompt (weights streamed once,
-/// reused across positions — compute-bound, unlike decode).
-[[nodiscard]] TokenReport simulate_prefill(const DeviceConfig& device,
-                                           const ModelConfig& model,
-                                           std::size_t prompt_len);
 
 /// Average per-token report over a decode of `n_tokens` starting from
 /// `prompt_len` (KV length grows by one each step).
@@ -175,9 +176,9 @@ struct StepReport {
 
 /// Simulates one batched engine step: a mix of prefill chunks, decodes and
 /// spec-verify bursts, each at its own KV length, sharing one weight
-/// stream. A single rows == 1 pass reproduces
-/// simulate_token(start_len + 1) bitwise — same op list, same accumulation
-/// order.
+/// stream. A single {0, prompt_len} pass is a whole-prompt prefill
+/// (weights streamed once and reused across positions — compute-bound,
+/// unlike decode).
 [[nodiscard]] StepReport simulate_step(const DeviceConfig& device,
                                        const ModelConfig& model,
                                        const StepComposition& step);

@@ -1,5 +1,8 @@
-// Per-token operation list of a decoder model — the workload consumed by the
-// device-level simulator (Fig 8, latency/energy per token).
+// Operation list of one model pass of a decoder — the workload consumed by
+// the device-level simulator (Fig 8, latency/energy per token). One builder,
+// step_ops(), covers every pass shape: a decoded token is a single 1-row
+// pass, a prefill is a single pass of prompt_len rows from KV length 0, and
+// a continuous-batching engine step is any mix of such passes.
 //
 // Every op is one of: a matrix-vector product (projection / FFN weights
 // streamed from DRAM, or attention ops against the KV cache), a softmax over
@@ -36,16 +39,16 @@ struct TokenOp {
   std::size_t cols = 0;  // reduction length
   int weight_bits = 16;  // second operand precision
   int act_bits = 16;     // first operand precision
-  /// Tokens processed together (1 for decode; prompt length for prefill,
-  /// where the same streamed weights serve every prompt position).
+  /// Rows processed together: the step's total fed rows for shared ops,
+  /// where the same streamed weights serve every row; 1 for per-sequence
+  /// attention ops, whose rows/cols already cover the pass's causal work.
   std::size_t batch = 1;
   /// KV length this op's K/V stream covers (kKvMxv / kShiftAccAv only, 0
   /// otherwise): sizes the block-granular DRAM/buffer traffic per op, so a
   /// batched step can mix sequences at different cache depths.
   std::size_t kv_len = 0;
   /// Index into the producing StepComposition's seqs for per-sequence ops;
-  /// kShared for ops amortized across the batch. Single-stream builders
-  /// (token_ops / prefill_ops) leave it kShared.
+  /// kShared for ops amortized across the batch.
   std::size_t owner = kShared;
 };
 
@@ -55,26 +58,6 @@ struct ActBits {
   int high = 16;
   [[nodiscard]] int max() const { return low > high ? low : high; }
 };
-
-/// Builds the op list for generating one token at KV length `seq_len`.
-/// `log2_softmax` replaces the AV matmul with shift-accumulate ops and is
-/// only used by OPAL devices.
-[[nodiscard]] std::vector<TokenOp> token_ops(const ModelConfig& model,
-                                             std::size_t seq_len,
-                                             int weight_bits, ActBits act,
-                                             bool log2_softmax,
-                                             bool quantize_acts);
-
-/// Builds the op list for prefilling a `prompt_len`-token prompt: the same
-/// layer walk, but every weight matrix is reused across all prompt
-/// positions (batch = prompt_len) and the attention ops cover the causal
-/// triangle — which is why prefill is compute-bound while decode is
-/// DRAM-bound.
-[[nodiscard]] std::vector<TokenOp> prefill_ops(const ModelConfig& model,
-                                               std::size_t prompt_len,
-                                               int weight_bits, ActBits act,
-                                               bool log2_softmax,
-                                               bool quantize_acts);
 
 /// One sequence's model pass within a batched engine step: `rows` new
 /// positions fed at KV length `start_len` (a decode is rows == 1, a prefill
@@ -88,8 +71,8 @@ struct SeqPass {
 /// The mixed batch one continuous-batching engine step feeds through the
 /// model: any combination of prefill chunks, single decodes, and spec-verify
 /// bursts, each at its own KV depth. Weight streaming is shared across all
-/// of them — the amortization simulate_step models and per-token simulation
-/// cannot see.
+/// of them — the amortization simulate_step models and a one-pass-at-a-time
+/// simulation cannot see.
 struct StepComposition {
   std::vector<SeqPass> seqs;
 
@@ -105,8 +88,11 @@ struct StepComposition {
 /// once for the whole batch); per sequence, the attention ops cover the
 /// exact causal work of its pass — rows·start + rows·(rows+1)/2 key visits
 /// against a KV stream of start + rows positions — and carry `owner` so the
-/// device model can attribute them. With a single rows == 1 pass the list
-/// degenerates to token_ops(start_len + 1) op for op (same costs, bitwise).
+/// device model can attribute them. A single {start_len = seq_len - 1,
+/// rows = 1} pass is the op list of decoding one token at KV length
+/// seq_len; a single {0, prompt_len} pass is a whole-prompt prefill, where
+/// each streamed weight serves every prompt position (compute-bound, unlike
+/// DRAM-bound decode).
 [[nodiscard]] std::vector<TokenOp> step_ops(const ModelConfig& model,
                                             const StepComposition& step,
                                             int weight_bits, ActBits act,

@@ -85,24 +85,27 @@ void InferenceEngine::reset() { state_.reset(); }
 
 namespace {
 
-class CalibrationRecorder final : public ActivationRecorder {
+/// Accumulates the four calibration taps of each layer into a per-layer set
+/// (LayerCalibration stats or LayerHessians matrices — same four sites).
+template <typename Set>
+class SiteRecorder final : public ActivationRecorder {
  public:
-  explicit CalibrationRecorder(CalibrationSet& set) : set_(&set) {}
+  explicit SiteRecorder(Set& set) : set_(&set) {}
   void record(std::size_t layer, RecordSite site,
               std::span<const float> values) override {
-    auto& cal = (*set_)[layer];
+    auto& taps = (*set_)[layer];
     switch (site) {
       case RecordSite::kAttnIn:
-        cal.attn_in.accumulate(values);
+        taps.attn_in.accumulate(values);
         break;
       case RecordSite::kProjIn:
-        cal.proj_in.accumulate(values);
+        taps.proj_in.accumulate(values);
         break;
       case RecordSite::kFc1In:
-        cal.fc1_in.accumulate(values);
+        taps.fc1_in.accumulate(values);
         break;
       case RecordSite::kFc2In:
-        cal.fc2_in.accumulate(values);
+        taps.fc2_in.accumulate(values);
         break;
       default:
         break;
@@ -110,35 +113,7 @@ class CalibrationRecorder final : public ActivationRecorder {
   }
 
  private:
-  CalibrationSet* set_;
-};
-
-class HessianRecorder final : public ActivationRecorder {
- public:
-  explicit HessianRecorder(HessianSet& set) : set_(&set) {}
-  void record(std::size_t layer, RecordSite site,
-              std::span<const float> values) override {
-    auto& hess = (*set_)[layer];
-    switch (site) {
-      case RecordSite::kAttnIn:
-        hess.attn_in.accumulate(values);
-        break;
-      case RecordSite::kProjIn:
-        hess.proj_in.accumulate(values);
-        break;
-      case RecordSite::kFc1In:
-        hess.fc1_in.accumulate(values);
-        break;
-      case RecordSite::kFc2In:
-        hess.fc2_in.accumulate(values);
-        break;
-      default:
-        break;
-    }
-  }
-
- private:
-  HessianSet* set_;
+  Set* set_;
 };
 
 /// Greedy-free token stream: samples from the model's own softmax so the
@@ -161,73 +136,66 @@ std::size_t sample_token(std::span<const float> logits, Rng& rng) {
   return probs.size() - 1;
 }
 
+/// Runs a BF16 engine over `n_tokens` tokens it samples from its own
+/// softmax (seeded), with `recorder` tapping activations; `on_logits` sees
+/// each step's logits before the next token is drawn from them.
+template <typename OnLogits>
+void self_generate(const SyntheticModel& model, std::size_t n_tokens,
+                   std::uint64_t seed, ActivationRecorder* recorder,
+                   OnLogits&& on_logits) {
+  EngineConfig bf16;
+  bf16.max_seq_len = n_tokens + 1;
+  InferenceEngine engine(model, bf16);
+  engine.set_recorder(recorder);
+  Rng rng = make_rng(seed);
+  std::size_t token = 0;
+  for (std::size_t t = 0; t < n_tokens; ++t) {
+    const auto logits = engine.step(token);
+    on_logits(logits);
+    token = sample_token(logits, rng);
+  }
+}
+
+template <typename Set>
+Set calibrate_sites(const SyntheticModel& model, std::size_t n_tokens,
+                    std::uint64_t seed) {
+  const auto& cfg = model.config();
+  Set set;
+  set.reserve(cfg.n_layers);
+  for (std::size_t l = 0; l < cfg.n_layers; ++l) {
+    set.emplace_back(cfg.d_model, cfg.d_ffn);
+  }
+  SiteRecorder<Set> recorder(set);
+  self_generate(model, n_tokens, seed, &recorder,
+                [](std::span<const float>) {});
+  return set;
+}
+
 }  // namespace
+
+CalibrationSet calibrate_model(const SyntheticModel& model,
+                               std::size_t n_tokens, std::uint64_t seed) {
+  return calibrate_sites<CalibrationSet>(model, n_tokens, seed);
+}
 
 HessianSet calibrate_model_hessians(const SyntheticModel& model,
                                     std::size_t n_tokens,
                                     std::uint64_t seed) {
-  const auto& cfg = model.config();
-  HessianSet set;
-  set.reserve(cfg.n_layers);
-  for (std::size_t l = 0; l < cfg.n_layers; ++l) {
-    set.emplace_back(cfg.d_model, cfg.d_ffn);
-  }
-  EngineConfig bf16;
-  bf16.max_seq_len = n_tokens + 1;
-  InferenceEngine engine(model, bf16);
-  HessianRecorder recorder(set);
-  engine.set_recorder(&recorder);
-  Rng rng = make_rng(seed);
-  std::size_t token = 0;
-  for (std::size_t t = 0; t < n_tokens; ++t) {
-    const auto logits = engine.step(token);
-    token = sample_token(logits, rng);
-  }
-  return set;
-}
-
-CalibrationSet calibrate_model(const SyntheticModel& model,
-                               std::size_t n_tokens, std::uint64_t seed) {
-  const auto& cfg = model.config();
-  CalibrationSet set;
-  set.reserve(cfg.n_layers);
-  for (std::size_t l = 0; l < cfg.n_layers; ++l) {
-    set.emplace_back(cfg.d_model, cfg.d_ffn);
-  }
-
-  EngineConfig bf16;
-  bf16.max_seq_len = n_tokens + 1;
-  InferenceEngine engine(model, bf16);
-  CalibrationRecorder recorder(set);
-  engine.set_recorder(&recorder);
-
-  Rng rng = make_rng(seed);
-  std::size_t token = 0;
-  for (std::size_t t = 0; t < n_tokens; ++t) {
-    const auto logits = engine.step(token);
-    token = sample_token(logits, rng);
-  }
-  return set;
+  return calibrate_sites<HessianSet>(model, n_tokens, seed);
 }
 
 void calibrate_logit_scale(SyntheticModel& model, std::size_t n_tokens,
                            std::uint64_t seed, float target_std) {
-  EngineConfig bf16;
-  bf16.max_seq_len = n_tokens + 1;
-  InferenceEngine engine(model, bf16);
-  Rng rng = make_rng(seed);
-  std::size_t token = 0;
   double sum = 0.0, sum_sq = 0.0;
   std::size_t count = 0;
-  for (std::size_t t = 0; t < n_tokens; ++t) {
-    const auto logits = engine.step(token);
-    for (const float v : logits) {
-      sum += v;
-      sum_sq += static_cast<double>(v) * v;
-    }
-    count += logits.size();
-    token = sample_token(logits, rng);
-  }
+  self_generate(model, n_tokens, seed, nullptr,
+                [&](std::span<const float> logits) {
+                  for (const float v : logits) {
+                    sum += v;
+                    sum_sq += static_cast<double>(v) * v;
+                  }
+                  count += logits.size();
+                });
   const double mean = sum / static_cast<double>(count);
   const double var = sum_sq / static_cast<double>(count) - mean * mean;
   const double std_dev = std::sqrt(std::max(var, 1e-12));

@@ -36,7 +36,7 @@ void PagedKvCache::release_from(std::size_t first_block) {
 }
 
 std::size_t PagedKvCache::blocks_needed_for_next() const {
-  if (len_ >= max_seq_len_) return 0;  // advance() will throw, not allocate
+  if (len_ >= max_seq_len_) return 0;  // advance_by(1) throws, not allocates
   return blocks_needed_for(1);
 }
 
@@ -63,8 +63,6 @@ std::size_t PagedKvCache::blocks_needed_for(std::size_t n) const {
   }
   return need;
 }
-
-void PagedKvCache::reserve_next() { reserve_for(1); }
 
 void PagedKvCache::reserve_for(std::size_t n) {
   require(len_ + n <= max_seq_len_,
@@ -155,13 +153,6 @@ KvBlockColumn PagedKvCache::block_column(std::size_t column) const {
   return col;
 }
 
-void PagedKvCache::advance() {
-  require(len_ < max_seq_len_,
-          "PagedKvCache::advance: cache full (length == max_seq_len)");
-  reserve_next();
-  ++len_;
-}
-
 void PagedKvCache::advance_by(std::size_t n) {
   require(len_ + n <= max_seq_len_,
           "PagedKvCache::advance_by: chunk exceeds max_seq_len");
@@ -169,18 +160,12 @@ void PagedKvCache::advance_by(std::size_t n) {
   len_ += n;
 }
 
-void PagedKvCache::append(std::size_t layer, std::span<const float> k,
-                          std::span<const float> v) {
-  require(len_ >= 1, "PagedKvCache::append: call advance() first");
-  write_at(layer, len_ - 1, k, v);
-}
-
 void PagedKvCache::write_at(std::size_t layer, std::size_t pos,
                             std::span<const float> k,
                             std::span<const float> v) {
   require(layer < k_blocks_.size(), "PagedKvCache::write_at: bad layer");
   require(pos < len_,
-          "PagedKvCache::write_at: position not opened by advance");
+          "PagedKvCache::write_at: position not opened by advance_by");
   const std::size_t block = pos / pool_->block_size();
   const std::size_t row = pos % pool_->block_size();
   pool_->write_row(k_blocks_[layer][block], row, k);

@@ -108,11 +108,8 @@ class SequenceState {
   [[nodiscard]] std::size_t blocks_needed_for(std::size_t n) const {
     return cache_.blocks_needed_for(n);
   }
-  /// Pre-acquires the next step's blocks; lets a serving layer keep pool
-  /// mutation out of its parallel decode phase.
-  void reserve_next() { cache_.reserve_next(); }
-  /// Multi-token reserve_next(): pre-acquires everything an `n`-token
-  /// prefill chunk needs (idempotent).
+  /// Pre-acquires everything an `n`-row pass needs (idempotent); lets a
+  /// serving layer keep pool mutation out of its parallel model pass.
   void reserve_for(std::size_t n) { cache_.reserve_for(n); }
 
   /// Rows of the most recent PreparedModel::forward item fed through this

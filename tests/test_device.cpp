@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace opal {
 namespace {
 
@@ -50,6 +52,17 @@ TEST(Device, TokenReportComponentsPositive) {
   EXPECT_GT(report.weight_leak_j, 0.0);
   EXPECT_GT(report.act_leak_j, 0.0);
   EXPECT_EQ(report.total_macs, model.macs_per_token(512));
+}
+
+TEST(Device, DecodeNeedsNonzeroKvLength) {
+  // Decoding a token at KV length seq_len feeds one row at seq_len - 1:
+  // seq_len == 0 has no such row.
+  const auto model = scaled_for_eval(llama2_7b(), 256, 2, 128);
+  const auto dev = make_opal_device(4, 7, 4);
+  EXPECT_THROW(static_cast<void>(simulate_token(dev, model, 0)),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(trace_token(dev, model, 0)),
+               std::invalid_argument);
 }
 
 TEST(Device, EnergyOrderingMatchesFig8a) {
@@ -129,7 +142,9 @@ TEST(Device, PrefillIsComputeBoundAndAmortized) {
   const auto dev = make_opal_device(4, 7, 4);
   const std::size_t prompt = 512;
   const auto decode = simulate_token(dev, model, prompt);
-  const auto prefill = simulate_prefill(dev, model, prompt);
+  StepComposition whole_prompt;
+  whole_prompt.seqs.push_back({0, 0, prompt});
+  const auto prefill = simulate_step(dev, model, whole_prompt).totals;
   const double prefill_per_token =
       prefill.latency_s / static_cast<double>(prompt);
   EXPECT_LT(prefill_per_token, decode.latency_s / 10.0);
@@ -147,8 +162,9 @@ TEST(Device, TraceSumsToTokenReport) {
     latency += entry.latency_s;
     core_energy += entry.core_energy_j;
   }
-  EXPECT_NEAR(latency, report.latency_s, 1e-9);
-  EXPECT_NEAR(core_energy, report.core_energy_j, 1e-12);
+  // One op list, one per-op pricing, one addition order: exact.
+  EXPECT_EQ(latency, report.latency_s);
+  EXPECT_EQ(core_energy, report.core_energy_j);
 }
 
 TEST(Device, TraceWeightOpsAreDramBound) {

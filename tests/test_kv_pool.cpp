@@ -222,14 +222,14 @@ TEST(PagedKvCache, AdvanceAllocatesPerBlockColumn) {
   PagedKvCache cache(pool, 2, 12);  // 2 layers
   EXPECT_EQ(cache.blocks_held(), 0u);
   EXPECT_EQ(cache.blocks_needed_for_next(), 4u);  // K+V per layer
-  cache.advance();
+  cache.advance_by(1);
   EXPECT_EQ(cache.blocks_held(), 4u);
   for (int t = 1; t < 4; ++t) {
     EXPECT_EQ(cache.blocks_needed_for_next(), 0u);
-    cache.advance();
+    cache.advance_by(1);
   }
   EXPECT_EQ(cache.blocks_held(), 4u);  // still within the first column
-  cache.advance();                     // position 4 opens a second column
+  cache.advance_by(1);                 // position 4 opens a second column
   EXPECT_EQ(cache.blocks_held(), 8u);
   EXPECT_EQ(pool.free_blocks(), 8u);
 }
@@ -239,8 +239,8 @@ TEST(PagedKvCache, TruncateReturnsBlocksToPool) {
   PagedKvCache cache(pool, 1, 12);
   std::vector<float> row(8, 1.0f);
   for (int t = 0; t < 9; ++t) {
-    cache.advance();
-    cache.append(0, row, row);
+    cache.advance_by(1);
+    cache.write_at(0, cache.length() - 1, row, row);
   }
   EXPECT_EQ(cache.blocks_held(), 6u);  // 3 columns x (K+V)
   cache.truncate(4);                   // exactly one column survives
@@ -250,7 +250,7 @@ TEST(PagedKvCache, TruncateReturnsBlocksToPool) {
   EXPECT_EQ(cache.blocks_held(), 0u);
   EXPECT_EQ(pool.free_blocks(), 12u);
   // Space reopened: the cache grows again from the pool.
-  cache.advance();
+  cache.advance_by(1);
   EXPECT_EQ(cache.blocks_held(), 2u);
 }
 
@@ -258,27 +258,27 @@ TEST(PagedKvCache, PoolExhaustionThrowsWithoutPartialAllocation) {
   KvBlockPool pool(2, 2, 4);
   PagedKvCache cache(pool, 1, 8);
   std::vector<float> row(4, 1.0f);
-  cache.advance();
-  cache.append(0, row, row);
-  cache.advance();
-  cache.append(0, row, row);
+  cache.advance_by(1);
+  cache.write_at(0, cache.length() - 1, row, row);
+  cache.advance_by(1);
+  cache.write_at(0, cache.length() - 1, row, row);
   EXPECT_EQ(pool.free_blocks(), 0u);
   // The third position needs a fresh column the pool cannot supply.
-  EXPECT_THROW(cache.advance(), KvPoolExhausted);
+  EXPECT_THROW(cache.advance_by(1), KvPoolExhausted);
   EXPECT_EQ(cache.length(), 2u);       // length unchanged
   EXPECT_EQ(cache.blocks_held(), 2u);  // nothing leaked, nothing taken
 }
 
-TEST(PagedKvCache, ReserveNextIsIdempotentAndConsumedByAdvance) {
+TEST(PagedKvCache, ReserveForIsIdempotentAndConsumedByAdvanceBy) {
   KvBlockPool pool(8, 4, 4);
   PagedKvCache cache(pool, 1, 8);
   EXPECT_EQ(cache.blocks_needed_for_next(), 2u);
-  cache.reserve_next();
+  cache.reserve_for(1);
   EXPECT_EQ(cache.blocks_held(), 2u);
   EXPECT_EQ(cache.blocks_needed_for_next(), 0u);  // already covered
-  cache.reserve_next();                           // no-op
+  cache.reserve_for(1);                           // no-op
   EXPECT_EQ(cache.blocks_held(), 2u);
-  cache.advance();  // uses the reservation, no new allocation
+  cache.advance_by(1);  // uses the reservation, no new allocation
   EXPECT_EQ(cache.blocks_held(), 2u);
 }
 
@@ -286,7 +286,7 @@ TEST(PagedKvCache, DestructorAndMoveReturnBlocksExactlyOnce) {
   KvBlockPool pool(8, 2, 4);
   {
     PagedKvCache cache(pool, 1, 8);
-    cache.advance();
+    cache.advance_by(1);
     EXPECT_EQ(pool.free_blocks(), 6u);
     PagedKvCache moved(std::move(cache));
     EXPECT_EQ(moved.length(), 1u);
@@ -304,10 +304,10 @@ TEST(PagedKvCache, Fp32GatherReturnsWrittenBits) {
   std::vector<std::vector<float>> written_k(n_layers), written_v(n_layers);
   Rng rng = make_rng(3);
   for (std::size_t t = 0; t < len; ++t) {
-    paged.advance();
+    paged.advance_by(1);
     for (std::size_t l = 0; l < n_layers; ++l) {
       const auto k = random_row(rng, d), v = random_row(rng, d);
-      paged.append(l, k, v);
+      paged.write_at(l, paged.length() - 1, k, v);
       written_k[l].insert(written_k[l].end(), k.begin(), k.end());
       written_v[l].insert(written_v[l].end(), v.begin(), v.end());
     }
@@ -326,9 +326,10 @@ TEST(PagedKvCache, MapSharedAliasesBlocksAndCopiesOnWrite) {
   PagedKvCache donor(pool, n_layers, 16);
   Rng rng = make_rng(11);
   for (std::size_t t = 0; t < bs; ++t) {
-    donor.advance();
+    donor.advance_by(1);
     for (std::size_t l = 0; l < n_layers; ++l) {
-      donor.append(l, random_row(rng, d), random_row(rng, d));
+      donor.write_at(l, donor.length() - 1, random_row(rng, d),
+                     random_row(rng, d));
     }
   }
   const KvBlockColumn col = donor.block_column(0);
@@ -350,9 +351,10 @@ TEST(PagedKvCache, MapSharedAliasesBlocksAndCopiesOnWrite) {
   }
 
   // Growing past the shared prefix allocates a private column — no copy.
-  reader.advance();
+  reader.advance_by(1);
   for (std::size_t l = 0; l < n_layers; ++l) {
-    reader.append(l, random_row(rng, d), random_row(rng, d));
+    reader.write_at(l, reader.length() - 1, random_row(rng, d),
+                    random_row(rng, d));
   }
   EXPECT_EQ(pool.ref_count(col.k[0]), 2u);  // still aliased
 
@@ -360,10 +362,12 @@ TEST(PagedKvCache, MapSharedAliasesBlocksAndCopiesOnWrite) {
   // the donor's block is untouched and the reader owns a private copy.
   reader.truncate(2);
   EXPECT_EQ(reader.blocks_needed_for_next(), 2 * n_layers);  // all shared
-  reader.advance();
+  reader.advance_by(1);
   EXPECT_EQ(pool.ref_count(col.k[0]), 1u);  // donor's copy only
   const auto fresh = random_row(rng, d);
-  for (std::size_t l = 0; l < n_layers; ++l) reader.append(l, fresh, fresh);
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    reader.write_at(l, reader.length() - 1, fresh, fresh);
+  }
   donor.gather(0, dk, dv);  // donor sees its original rows
   reader.gather(0, rk, rv);
   for (std::size_t i = 0; i < 2 * d; ++i) {
@@ -397,8 +401,8 @@ TEST(PagedKvCache, MidBlockTruncateThenReadvanceIsDeterministicQuantized) {
         rows.push_back(random_row(rng, d, t == 3 ? 8.0f : 1.0f));
       }
       for (std::size_t t = 0; t < 6; ++t) {
-        cache.advance();
-        cache.append(0, rows[t], rows[t]);
+        cache.advance_by(1);
+        cache.write_at(0, cache.length() - 1, rows[t], rows[t]);
       }
       const KvBlockPool::BlockId block0 = cache.block_column(0).k[0];
       const float scale_before = pool.block_scale(block0);
@@ -411,8 +415,8 @@ TEST(PagedKvCache, MidBlockTruncateThenReadvanceIsDeterministicQuantized) {
       // Re-advance with different data over the rolled-back positions.
       for (std::size_t t = 2; t < 6; ++t) {
         const auto row = random_row(rng, d, 1.0f);
-        cache.advance();
-        cache.append(0, row, row);
+        cache.advance_by(1);
+        cache.write_at(0, cache.length() - 1, row, row);
       }
       std::vector<float> k(6 * d), v(6 * d);
       cache.gather(0, k, v);
@@ -433,8 +437,8 @@ TEST(PagedKvCache, MidBlockTruncateThenReadvanceIsDeterministicQuantized) {
 TEST(PagedKvCache, AdvanceByWriteAtMatchesStepwiseAllModes) {
   // Chunked prefill's multi-row path (advance_by + per-layer write_at in
   // layer-major order) must leave every mode's cache bitwise identical to
-  // the token-by-token advance/append path, including across block-scale
-  // growth (rows get larger over time to force rescales).
+  // the token-by-token path (advance_by(1), then every layer's row), including
+  // across block-scale growth (rows get larger over time to force rescales).
   const std::size_t n_layers = 2, d = 8, bs = 4, n_tokens = 11;
   for (const KvQuantMode mode :
        {KvQuantMode::kFp32, KvQuantMode::kInt8, KvQuantMode::kLog2}) {
@@ -452,10 +456,10 @@ TEST(PagedKvCache, AdvanceByWriteAtMatchesStepwiseAllModes) {
       return row;
     };
     for (std::size_t t = 0; t < n_tokens; ++t) {
-      stepwise.advance();
+      stepwise.advance_by(1);
       for (std::size_t l = 0; l < n_layers; ++l) {
         const auto row = row_for(t, l);
-        stepwise.append(l, row, row);
+        stepwise.write_at(l, stepwise.length() - 1, row, row);
       }
     }
     chunked.advance_by(n_tokens);
@@ -508,8 +512,8 @@ TEST(PagedKvCache, ReserveForIsAllOrNothingAndCopyOnWritesSharedBlocks) {
   PagedKvCache donor(pool, n_layers, 16);
   std::vector<float> row(d, 1.5f);
   for (std::size_t t = 0; t < 8; ++t) {
-    donor.advance();
-    donor.append(0, row, row);
+    donor.advance_by(1);
+    donor.write_at(0, donor.length() - 1, row, row);
   }
   std::vector<KvBlockColumn> columns = {donor.block_column(0),
                                         donor.block_column(1)};
