@@ -1,9 +1,10 @@
 // Software microbenchmarks (google-benchmark) of the quantizer
-// implementations: encode/decode throughput by scheme, bit-width, and
-// tensor size, plus the log2 softmax unit. These measure the *simulator's*
-// software cost, not hardware cycles.
+// implementations: fused quantize-dequantize against encode-then-decode by
+// scheme, bit-width, and tensor size, plus the log2 softmax unit. These
+// measure the *simulator's* software cost, not hardware cycles.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
@@ -66,6 +67,27 @@ void BM_MxOpalQuantize(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_MxOpalQuantize)
+    ->Args({4096, 4, 4})
+    ->Args({4096, 4, 8})
+    ->Args({4096, 7, 4})
+    ->Args({65536, 4, 4});
+
+// The encode-then-decode route the fused quantize_dequantize replaces, at
+// the same shapes as BM_MxOpalQuantize.
+void BM_MxOpalEncodeDecode(benchmark::State& state) {
+  const auto in = make_activations(static_cast<std::size_t>(state.range(0)));
+  std::vector<float> out(in.size());
+  const opal::MxOpalQuantizer quant(128, static_cast<int>(state.range(1)),
+                                    static_cast<std::size_t>(state.range(2)));
+  for (auto _ : state) {
+    const auto decoded = opal::decode(quant.encode(in));
+    std::copy(decoded.begin(), decoded.end(), out.begin());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_MxOpalEncodeDecode)
     ->Args({4096, 4, 4})
     ->Args({4096, 4, 8})
     ->Args({4096, 7, 4})

@@ -61,7 +61,17 @@ class bfloat16 {
   }
 
  private:
-  [[nodiscard]] static std::uint16_t round_from_f32(float v);
+  // Branch-free, so per-element callers stay free of data-dependent jumps.
+  [[nodiscard]] static std::uint16_t round_from_f32(float v) {
+    const std::uint32_t bits = f32_bits(v);
+    // Round to nearest even on the 16 bits being discarded.
+    const std::uint32_t rounded = (bits + 0x7FFFu + ((bits >> 16) & 1u)) >> 16;
+    // A NaN becomes a quiet NaN, preserving sign, instead of having its
+    // payload rounded down to infinity.
+    const std::uint32_t quiet_nan = (bits >> 16) | 0x0040u;
+    return static_cast<std::uint16_t>(
+        (bits & 0x7FFFFFFFu) > 0x7F800000u ? quiet_nan : rounded);
+  }
 
   std::uint16_t bits_ = 0;
 };

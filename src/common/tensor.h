@@ -68,4 +68,10 @@ inline void require(bool cond, const std::string& what) {
   if (!cond) throw std::invalid_argument(what);
 }
 
+/// Literal-message form: builds no std::string unless `cond` is false, so a
+/// passing check on a hot path does not allocate.
+inline void require(bool cond, const char* what) {
+  if (!cond) throw std::invalid_argument(what);
+}
+
 }  // namespace opal

@@ -186,6 +186,7 @@ HessianSet calibrate_model_hessians(const SyntheticModel& model,
 
 void calibrate_logit_scale(SyntheticModel& model, std::size_t n_tokens,
                            std::uint64_t seed, float target_std) {
+  require(n_tokens >= 1, "calibrate_logit_scale: need >= 1 token");
   double sum = 0.0, sum_sq = 0.0;
   std::size_t count = 0;
   self_generate(model, n_tokens, seed, nullptr,

@@ -110,6 +110,7 @@ class InferenceEngine {
 /// Measures the BF16 logit spread over a short run and rescales the model's
 /// logit_scale so logits have stddev ~= `target_std` (non-degenerate
 /// next-token entropy). Call once after constructing a SyntheticModel.
+/// Throws std::invalid_argument for n_tokens == 0 (nothing to measure).
 void calibrate_logit_scale(SyntheticModel& model, std::size_t n_tokens,
                            std::uint64_t seed, float target_std = 2.5f);
 

@@ -15,6 +15,13 @@
 // With the paper's defaults (k=128, n=4) the memory overhead over MXINT is
 // 2.7% at b=8 and 9.2% at b=4 (Eq. (1)), while the blockwise MSE drops by
 // 3.8x / 8.2x on outlier-bearing activations (Fig 4).
+//
+// Magnitude order is that of the integer key `f32_bits(x) & 0x7FFFFFFF`,
+// ties to the lower index. For finite values it is the order of |x|; it is
+// also total over non-finite inputs: NaN > inf > every finite value, and
+// -0 ties with +0. A NaN or inf element therefore always becomes an outlier
+// (as long as the block holds at most n of them); left in the INT lanes it
+// would be a zero (NaN) or a saturated code (inf).
 #pragma once
 
 #include "quant/format.h"
@@ -49,9 +56,26 @@ class MxOpalQuantizer final : public Quantizer {
   BlockFormat format_;
 };
 
-/// Indices of the top-n magnitudes within `block` (n smallest first by
-/// index). Exposed for tests and for the data-distributor model.
+/// Indices of the top-n magnitudes within `block`, in ascending index
+/// order: the outlier selection of encode() and the fused path for one
+/// block. Exposed for tests and for the data-distributor model.
 [[nodiscard]] std::vector<std::size_t> top_n_magnitude_indices(
     std::span<const float> block, std::size_t n);
+
+/// Encoded form under `format` (MXINT at outliers == 0): each block's
+/// outliers, from the same selection as the fused path, and its codes over
+/// a global scale. Both quantizers' encode() are this.
+[[nodiscard]] QuantizedTensor mx_encode(const BlockFormat& format,
+                                        std::span<const float> in);
+
+/// Fused MX fake quantization under `format` (MXINT at outliers == 0):
+/// bitwise equal to decode(encode(in)), without building the encoding.
+/// Pass 1 selects each block's outliers and shared scale and folds the
+/// global scale; pass 2 writes code * 2^step per element, then the bf16
+/// outliers. `in` and `out` may be the same span. The per-block plan lives
+/// in thread-local grow-only scratch, so a thread's calls allocate nothing
+/// once it has seen the largest size it quantizes.
+void mx_quantize_dequantize(const BlockFormat& format,
+                            std::span<const float> in, std::span<float> out);
 
 }  // namespace opal

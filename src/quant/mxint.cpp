@@ -5,6 +5,7 @@
 
 #include "common/float_bits.h"
 #include "common/tensor.h"
+#include "quant/mx_opal.h"
 
 namespace opal {
 
@@ -34,50 +35,16 @@ void assign_global_scale(QuantizedTensor& qt,
                          std::span<const int> block_scales) {
   require(block_scales.size() == qt.blocks.size(),
           "assign_global_scale: scale count mismatch");
-  int global = 0;
-  bool any = false;
-  for (const int s : block_scales) {
-    if (s == kZeroExponent) continue;  // all-zero block, any scale works
-    global = any ? std::min(global, s) : s;
-    any = true;
-  }
-  if (!any) global = 0;
+  const int global = global_scale_of(block_scales);
   qt.global_scale = global;
   for (std::size_t i = 0; i < qt.blocks.size(); ++i) {
-    int off = block_scales[i] == kZeroExponent ? 0 : block_scales[i] - global;
-    // 4-bit offset field: blocks whose scale sits more than 15 octaves above
-    // the global scale saturate; their large elements clip to max code.
-    off = std::clamp(off, 0, 15);
-    qt.blocks[i].scale_offset = static_cast<std::uint8_t>(off);
+    qt.blocks[i].scale_offset =
+        static_cast<std::uint8_t>(block_scale_offset(block_scales[i], global));
   }
 }
 
 QuantizedTensor MxIntQuantizer::encode(std::span<const float> in) const {
-  QuantizedTensor qt;
-  qt.format = format_;
-  qt.count = in.size();
-
-  std::vector<int> scales;
-  for (std::size_t off = 0; off < in.size(); off += format_.block_size) {
-    const std::size_t len = std::min(format_.block_size, in.size() - off);
-    const auto block = in.subspan(off, len);
-    scales.push_back(select_shared_scale(block, 1));
-    qt.blocks.emplace_back();
-    qt.blocks.back().codes.resize(len, 0);
-  }
-  assign_global_scale(qt, scales);
-
-  for (std::size_t b = 0; b < qt.blocks.size(); ++b) {
-    const std::size_t off = b * format_.block_size;
-    const auto block = in.subspan(
-        off, std::min(format_.block_size, in.size() - off));
-    const int scale = qt.block_scale(b);
-    for (std::size_t i = 0; i < block.size(); ++i) {
-      qt.blocks[b].codes[i] =
-          quantize_code(block[i], scale, format_.bits, format_.rounding);
-    }
-  }
-  return qt;
+  return mx_encode(format_, in);
 }
 
 std::vector<float> decode(const QuantizedTensor& qt) {
@@ -99,9 +66,9 @@ std::vector<float> decode(const QuantizedTensor& qt) {
 
 void MxIntQuantizer::quantize_dequantize(std::span<const float> in,
                                          std::span<float> out) const {
-  require(in.size() == out.size(), "MXINT: size mismatch");
-  const auto decoded = decode(encode(in));
-  std::copy(decoded.begin(), decoded.end(), out.begin());
+  // MXINT is MX-OPAL with no outliers: its scale select_shared_scale(block,
+  // 1) is the fused routine's at n = 0.
+  mx_quantize_dequantize(format_, in, out);
 }
 
 std::size_t MxIntQuantizer::storage_bits(std::size_t count) const {

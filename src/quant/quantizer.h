@@ -20,7 +20,8 @@ class Quantizer {
   /// Human-readable scheme name ("MinMax", "MXINT4", "MX-OPAL4", ...).
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Applies quantize-then-dequantize elementwise; in/out may alias.
+  /// Applies quantize-then-dequantize elementwise; in and out may be the
+  /// same span.
   ///
   /// Contract: implementations must be const in the strong sense — no
   /// mutable members, no lazily-initialized caches, no shared scratch.
@@ -28,6 +29,13 @@ class Quantizer {
   /// decoding sequence, so quantize_dequantize must be safe to call from
   /// multiple threads at once (all in-tree implementations are pure
   /// functions of (in, format)).
+  ///
+  /// MXINT and MX-OPAL fake quantization runs on the serving hot path (7
+  /// sites per decoder row per layer), so it is fused: one in-place,
+  /// two-pass block routine (mx_quantize_dequantize in mx_opal.h) that is
+  /// bitwise equal to decode(encode(in)) and allocates nothing once a
+  /// thread has seen its largest size. Its per-block plan lives in
+  /// thread-local grow-only scratch, which no other thread touches.
   virtual void quantize_dequantize(std::span<const float> in,
                                    std::span<float> out) const = 0;
 

@@ -195,6 +195,15 @@ TEST(Engine, LogitScaleCalibrationHitsTarget) {
   EXPECT_NEAR(stddev, 2.5, 1.0);
 }
 
+TEST(Engine, LogitScaleCalibrationRejectsZeroTokens) {
+  // With no tokens there is no logit spread to measure; the call must throw
+  // instead of setting a 0/0 (NaN) scale.
+  SyntheticModel model(tiny_config(), 77);
+  const float before = model.logit_scale();
+  EXPECT_THROW(calibrate_logit_scale(model, 0, 5, 2.5f), std::invalid_argument);
+  EXPECT_EQ(model.logit_scale(), before);
+}
+
 TEST(Engine, OptStyleModelRuns) {
   // LayerNorm + ReLU path (OPT architecture), quantized end to end.
   SyntheticModel model(scaled_for_eval(opt_6_7b(), 128, 2, 64), 55);
