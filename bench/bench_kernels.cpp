@@ -2,11 +2,9 @@
 // table (common/kernels.h) on the serving hot path's shapes — GEMV, the
 // weight-stationary multi-row GEMM at 1 / 4 / 16 activation rows, the fused
 // dequantize-dot kernels per kv_mode, and attention score/accumulate over
-// realistic block-segment shapes — plus the in-process serving headline
-// numbers (fifo chunk-1 vs chunk-8 short-request p50 TTFT steps, decode
-// tokens/s) that bench_scheduler/bench_sampling report, persisted together
-// as BENCH_kernels.json (path = argv[1], default ./BENCH_kernels.json) to
-// start the cross-PR perf trajectory.
+// realistic block-segment shapes, persisted as BENCH_kernels.json (path =
+// argv[1], default ./BENCH_kernels.json). Serving throughput and latency
+// are perfbench's (BENCHMARK.json).
 //
 // Asserted (exit 1): every dispatched kernel matches the scalar reference
 // within reduction-reorder tolerance; the fused dequant kernels match
@@ -19,14 +17,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/kernels.h"
-#include "eval/schemes.h"
-#include "llm/scheduler.h"
-#include "llm/serving_engine.h"
 
 namespace {
 
@@ -82,76 +76,6 @@ void check(bool cond, const char* what) {
     std::printf("FAIL: %s\n", what);
     g_ok = false;
   }
-}
-
-// --- serving headline numbers (in-process) ----------------------------------
-
-struct ServingHeadline {
-  std::size_t chunk1_ttft_p50_steps = 0;
-  std::size_t chunk8_ttft_p50_steps = 0;
-  double decode_tokens_per_s = 0.0;
-};
-
-ServingHeadline serving_headline() {
-  SyntheticModel model(scaled_for_eval(llama2_7b(), 128, 3, 256), 7);
-  calibrate_logit_scale(model, 24, 8);
-  EngineConfig cfg;
-  cfg.max_seq_len = 128;
-  cfg.kv_block_size = 16;
-  cfg.kv_mode = KvQuantMode::kInt8;
-  auto prepared = std::make_shared<const PreparedModel>(model, cfg);
-
-  std::vector<Request> requests;
-  for (std::size_t r = 0; r < 2; ++r) {  // long prompts hog the slots first
-    Request req;
-    for (std::size_t i = 0; i < 64; ++i) req.prompt.push_back((i * 13 + r) % 256);
-    req.max_new_tokens = 8;
-    requests.push_back(std::move(req));
-  }
-  for (std::size_t r = 0; r < 4; ++r) {  // then short interactive requests
-    Request req;
-    for (std::size_t i = 0; i < 8; ++i) {
-      req.prompt.push_back((i * 29 + 7 * r + 3) % 256);
-    }
-    req.max_new_tokens = 8;
-    requests.push_back(std::move(req));
-  }
-
-  ServingHeadline out;
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{8}}) {
-    ServingConfig scfg;
-    scfg.max_batch = 3;
-    scfg.scheduler = std::make_shared<FifoScheduler>();
-    scfg.prefill_chunk_tokens = chunk;
-    ServingEngine engine(prepared, scfg);
-    std::vector<RequestId> ids;
-    for (const auto& req : requests) ids.push_back(engine.submit(req));
-    std::vector<std::size_t> short_ttft;
-    std::vector<bool> seen(requests.size(), false);
-    std::size_t steps = 0, decodes = 0, n;
-    const auto t0 = clock_type::now();
-    while ((n = engine.step()) > 0) {
-      ++steps;
-      decodes += n;
-      for (std::size_t r = 2; r < requests.size(); ++r) {
-        if (!seen[r] && engine.result(ids[r]).generated() > 0) {
-          seen[r] = true;
-          short_ttft.push_back(steps);
-        }
-      }
-    }
-    const double sec =
-        std::chrono::duration<double>(clock_type::now() - t0).count();
-    std::sort(short_ttft.begin(), short_ttft.end());
-    const std::size_t p50 = short_ttft[short_ttft.size() / 2];
-    if (chunk == 1) {
-      out.chunk1_ttft_p50_steps = p50;
-    } else {
-      out.chunk8_ttft_p50_steps = p50;
-      out.decode_tokens_per_s = static_cast<double>(decodes) / sec;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -364,14 +288,6 @@ int main(int argc, char** argv) {
     check(gemv_speedup >= 1.0, "dispatched GEMV not slower than scalar");
   }
 
-  // --- serving headline numbers --------------------------------------------
-  const ServingHeadline sh = serving_headline();
-  std::printf("\nserving headline (int8 paged KV, fifo): short-request p50 "
-              "TTFT %zu steps @ chunk 1 -> %zu steps @ chunk 8; decode "
-              "%.1f tokens/s\n",
-              sh.chunk1_ttft_p50_steps, sh.chunk8_ttft_p50_steps,
-              sh.decode_tokens_per_s);
-
   // --- persist --------------------------------------------------------------
   const std::string path = argc > 1 ? argv[1] : "BENCH_kernels.json";
   std::ofstream json(path);
@@ -411,13 +327,6 @@ int main(int argc, char** argv) {
        << "    \"attend_log2_fused_segments\": {\"scalar_us\": " << atl_scalar
        << ", \"dispatched_us\": " << atl_simd << ", \"speedup\": "
        << attend_lg_speedup << "}\n"
-       << "  },\n"
-       << "  \"serving\": {\n"
-       << "    \"fifo_chunk1_short_ttft_p50_steps\": "
-       << sh.chunk1_ttft_p50_steps << ",\n"
-       << "    \"fifo_chunk8_short_ttft_p50_steps\": "
-       << sh.chunk8_ttft_p50_steps << ",\n"
-       << "    \"decode_tokens_per_s\": " << sh.decode_tokens_per_s << "\n"
        << "  }\n"
        << "}\n";
   std::printf("\nwrote %s\n", path.c_str());

@@ -8,9 +8,9 @@
 // under four sampling configurations: greedy argmax (the baseline),
 // temperature 1.2, top-k 20 (t 1.1), and top-p 0.95 over top-k 50 (t 1.2).
 //
-// Reported per policy: serve wall time, decode throughput (tokens/s), and
-// output divergence — the fraction of generated positions whose token
-// differs from the greedy stream of the same request.
+// Reported per policy: engine steps and output divergence — the fraction of
+// generated positions whose token differs from the greedy stream of the same
+// request. Decode throughput is perfbench's (BENCHMARK.json).
 //
 // Asserted (exit 1):
 //   * the greedy streams match an independently computed argmax decode
@@ -21,7 +21,6 @@
 //   * serving it under a different scheduler (fair-share, threaded decode,
 //     quarter-size pool) yields the SAME streams — seeded sampling is
 //     scheduling-invariant.
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -40,8 +39,6 @@ using namespace opal;
 struct PolicyRun {
   std::string name;
   std::vector<std::vector<std::size_t>> streams;  // per request
-  double seconds = 0.0;
-  std::size_t decodes = 0;
   std::size_t steps = 0;
 };
 
@@ -53,16 +50,7 @@ PolicyRun serve(const std::shared_ptr<const PreparedModel>& model,
   ServingEngine engine(model, cfg);
   std::vector<RequestId> ids;
   for (const auto& req : requests) ids.push_back(engine.submit(req));
-  const auto t0 = std::chrono::steady_clock::now();
-  while (true) {
-    const std::size_t n = engine.step();
-    if (n == 0) break;
-    out.decodes += n;
-    ++out.steps;
-  }
-  out.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
+  while (engine.step() > 0) ++out.steps;
   for (const RequestId id : ids) {
     out.streams.push_back(engine.result(id).tokens);
   }
@@ -145,12 +133,11 @@ int main(int argc, char** argv) {
 
   std::printf("8 shared-prefix requests (20-token prompt, 32 generated), "
               "4 slots, fp32 paged KV, 8-token chunks\n\n");
-  std::printf("%-20s %10s %8s %10s %12s\n", "sampling policy", "tokens/s",
-              "steps", "total s", "divergence");
+  std::printf("%-20s %8s %12s\n", "sampling policy", "steps",
+              "divergence");
   for (const auto& run : runs) {
-    std::printf("%-20s %10.1f %8zu %10.3f %11.1f%%\n", run.name.c_str(),
-                static_cast<double>(run.decodes) / run.seconds, run.steps,
-                run.seconds, 100.0 * divergence(run, runs[0], prompt_len));
+    std::printf("%-20s %8zu %11.1f%%\n", run.name.c_str(), run.steps,
+                100.0 * divergence(run, runs[0], prompt_len));
   }
 
   {
@@ -161,10 +148,8 @@ int main(int argc, char** argv) {
          << "  \"policies\": [\n";
     for (std::size_t i = 0; i < runs.size(); ++i) {
       const auto& run = runs[i];
-      json << "    {\"policy\": \"" << run.name << "\", \"tokens_per_s\": "
-           << static_cast<double>(run.decodes) / run.seconds
-           << ", \"steps\": " << run.steps << ", \"wall_s\": " << run.seconds
-           << ", \"divergence\": " << divergence(run, runs[0], prompt_len)
+      json << "    {\"policy\": \"" << run.name << "\", \"steps\": "
+           << run.steps << ", \"divergence\": " << divergence(run, runs[0], prompt_len)
            << "}" << (i + 1 < runs.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";

@@ -3,6 +3,7 @@
 // softmax unit (which computes on exponent/mantissa integers).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -68,9 +69,12 @@ inline constexpr int kBF16ExponentBias = 127;
   return f32_from_bits(bits);
 }
 
-/// 2^e as a float for e in the normal range [-126, 127].
+/// 2^e as a float: exact for e in the normal range [-126, 127], +0 below
+/// it (as a right shift past the last bit gives) and +inf above it.
 [[nodiscard]] inline float exp2i(int e) noexcept {
-  return f32_compose(0, e + kF32ExponentBias, 0);
+  const int biased = std::clamp(e, -kF32ExponentBias, kF32ExponentBias + 1) +
+                     kF32ExponentBias;
+  return f32_compose(0, biased, 0);
 }
 
 }  // namespace opal

@@ -51,9 +51,7 @@
 // scalar_dot) are NOT double-counted: the wrapper counts entries through the
 // dispatch table only, one sample per public kernel call.
 //
-// Enabling: ServingConfig::profile, or the OPAL_PROFILE environment
-// variable (non-empty, not "0") force-enables profiling on every engine
-// constructed afterwards — the same convention as OPAL_TRACE.
+// Enabling: ServingConfig::profile, per engine.
 #pragma once
 
 #include <array>
@@ -151,9 +149,6 @@ class KernelProfiler {
   static void enable();
   /// Releases one enable(); the last release restores the captured table.
   static void disable();
-
-  /// True when OPAL_PROFILE is set, non-empty, and not "0".
-  [[nodiscard]] static bool env_enabled();
 
   /// Binds `slot` as this thread's sample destination (nullptr unbinds).
   /// PreparedModel::forward binds each work item's scratch around the item;

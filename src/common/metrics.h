@@ -160,8 +160,7 @@ class MetricsRegistry {
     }
 
     /// {"counters": {...}, "gauges": {...}, "histograms": {name:
-    /// {count, sum, min, max, mean, p50, p95, p99}}} — the machine-readable
-    /// form the SLO bench persists.
+    /// {count, sum, min, max, mean, p50, p95, p99}}}.
     [[nodiscard]] std::string to_json() const;
 
     /// Prometheus text exposition format (version 0.0.4): counters as

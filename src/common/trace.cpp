@@ -39,19 +39,9 @@ bool Tracer::env_enabled() {
   return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
 }
 
-std::size_t Tracer::env_capacity(std::size_t fallback) {
-  const char* v = std::getenv("OPAL_TRACE_CAPACITY");
-  if (v == nullptr || v[0] == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0' || parsed == 0) return fallback;
-  return static_cast<std::size_t>(parsed);
-}
-
 Tracer::Tracer(bool enabled, std::size_t capacity)
     : enabled_(enabled || env_enabled()),
       epoch_(std::chrono::steady_clock::now()) {
-  capacity = env_capacity(capacity);
   if (enabled_) ring_.reserve(capacity == 0 ? 1 : capacity);
 }
 

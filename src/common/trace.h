@@ -34,9 +34,8 @@
 //
 // Enabling: construct with enabled = true (ServingConfig::trace), or set
 // the OPAL_TRACE environment variable (non-empty, not "0") to force-enable
-// every tracer constructed afterwards. OPAL_TRACE_CAPACITY (a positive
-// integer) overrides the ring capacity of every tracer constructed
-// afterwards, so a long SLO run can be sized to lose nothing.
+// every tracer constructed afterwards. The ring capacity is the
+// constructor's (ServingConfig::trace_capacity).
 //
 // Step-trace schema (opal.step_trace/v2) — what write_step_trace emits:
 //
@@ -134,10 +133,6 @@ class Tracer {
 
   /// True when OPAL_TRACE is set, non-empty, and not "0".
   [[nodiscard]] static bool env_enabled();
-
-  /// OPAL_TRACE_CAPACITY as a positive event count, or `fallback` when the
-  /// variable is unset/empty/unparsable.
-  [[nodiscard]] static std::size_t env_capacity(std::size_t fallback);
 
   /// Stores `event` (stamping ts_us if the caller left it 0). No-op when
   /// disabled.

@@ -109,8 +109,7 @@ ServingEngine::ServingEngine(std::shared_ptr<const PreparedModel> model,
   // table for this engine's lifetime and registers the profile.* counters.
   // Off (the common case) none of this happens — the dispatch table and the
   // registry shape are exactly the silent engine's.
-  profiling_ = config_.profile || KernelProfiler::env_enabled();
-  if (profiling_) {
+  if (config_.profile) {
     KernelProfiler::enable();
     for (std::size_t k = 0; k < kKernelKindCount; ++k) {
       const std::string base =
@@ -138,7 +137,7 @@ ServingEngine::ServingEngine(const PreparedModel& model, ServingConfig config)
           std::move(config)) {}
 
 ServingEngine::~ServingEngine() {
-  if (profiling_) KernelProfiler::disable();
+  if (config_.profile) KernelProfiler::disable();
   if (prefix_cache_ != nullptr) kv_pool_->unregister_reclaimer(this);
   // A shared pool/scheduler can outlive this engine's registry: sever
   // their bindings (no-ops when a sibling engine bound after us).
@@ -158,7 +157,7 @@ RequestId ServingEngine::submit(Request request) {
   Sequence seq;
   seq.id = next_id_++;
   seq.priority = request.priority;
-  seq.submit_step = step_counter_;
+  seq.submit_step = em_.steps->value();
   seq.submit_tp = std::chrono::steady_clock::now();
   seq.result.status = RequestStatus::kQueued;
   seq.result.tokens = std::move(request.prompt);
@@ -185,7 +184,7 @@ RequestId ServingEngine::submit(Request request) {
   seq.sampler_ckpt.rng = CounterRng(seq.sampling.seed);
   ++prio_stats_[seq.priority].submitted;
   trace_.emit({.kind = TraceEventKind::kEnqueue,
-               .step = step_counter_,
+               .step = em_.steps->value(),
                .request = seq.id,
                .a = seq.result.prompt_len,
                .b = seq.target_len,
@@ -258,7 +257,7 @@ void ServingEngine::restore_cached_prefix(Sequence& seq) {
   seq.state->adopt_prefix(match.columns, match.positions);
   seq.fed = match.positions;  // prefill skips the restored positions
   trace_.emit({.kind = TraceEventKind::kPrefixHit,
-               .step = step_counter_,
+               .step = em_.steps->value(),
                .request = seq.id,
                .a = match.positions,
                .b = match.columns.size()});
@@ -349,9 +348,9 @@ void ServingEngine::admit_from_queue() {
           em_.admissions->add();
           const Sequence& adm = batch_.back();
           trace_.emit({.kind = TraceEventKind::kAdmit,
-                       .step = step_counter_,
+                       .step = em_.steps->value(),
                        .request = adm.id,
-                       .a = step_counter_ - adm.submit_step,
+                       .a = em_.steps->value() - adm.submit_step,
                        .b = adm.fed,
                        .c = adm.state->blocks_held()});
           admitted = true;
@@ -396,7 +395,7 @@ void ServingEngine::record_preemption(const Sequence& seq, std::size_t keep,
                                       std::size_t fed_before) {
   em_.preemptions->add();
   trace_.emit({.kind = TraceEventKind::kPreempt,
-               .step = step_counter_,
+               .step = em_.steps->value(),
                .request = seq.id,
                .a = keep,
                .b = fed_before});
@@ -426,7 +425,7 @@ bool ServingEngine::ensure_kv_capacity(std::vector<std::size_t>& budgets) {
     if (widest != Scheduler::kNone) {
       em_.budget_shrinks->add();
       trace_.emit({.kind = TraceEventKind::kBudgetShrink,
-                   .step = step_counter_,
+                   .step = em_.steps->value(),
                    .request = batch_[widest].id,
                    .a = budgets[widest],
                    .b = 1});
@@ -496,7 +495,7 @@ void ServingEngine::finish(Sequence&& seq, RequestStatus status) {
     ++prio_stats_[seq.priority].evicted;
     em_.evictions->add();
     trace_.emit({.kind = TraceEventKind::kEvict,
-                 .step = step_counter_,
+                 .step = em_.steps->value(),
                  .request = seq.id,
                  .a = seq.result.generated()});
   } else {
@@ -504,7 +503,7 @@ void ServingEngine::finish(Sequence&& seq, RequestStatus status) {
     ++finish_counts_[seq.result.finish_reason];
     em_.finished->add();
     trace_.emit({.kind = TraceEventKind::kFinish,
-                 .step = step_counter_,
+                 .step = em_.steps->value(),
                  .request = seq.id,
                  .a = seq.result.generated(),
                  .b = static_cast<std::uint64_t>(seq.result.finish_reason)});
@@ -562,7 +561,6 @@ void ServingEngine::preempt(RequestId id, std::size_t keep_positions) {
 }
 
 std::size_t ServingEngine::step() {
-  ++step_counter_;
   em_.steps->add();
   const std::uint64_t step_t0_us = trace_.now_us();
   admit_from_queue();
@@ -600,7 +598,7 @@ std::size_t ServingEngine::step() {
   trace_.emit({.kind = TraceEventKind::kStep,
                .ts_us = step_end_us,
                .dur_us = step_end_us - step_t0_us,
-               .step = step_counter_,
+               .step = em_.steps->value(),
                .a = decoded,
                .b = pass.rows,
                .c = kv_pool_->blocks_in_use(),
@@ -708,15 +706,15 @@ ServingEngine::PassTiming ServingEngine::run_forward() {
   // out over GEMM tiles, rows, and per-sequence attention inside the model;
   // every row is bitwise what a solo step produces, whatever the batch or
   // the thread count.
-  if (profiling_) step_profile_.clear();
+  if (config_.profile) step_profile_.clear();
   const std::uint64_t forward_t0_us = trace_.now_us();
   model_->forward(forward_items_, forward_scratch_, pool_.get(),
-                  profiling_ ? &step_profile_ : nullptr);
+                  config_.profile ? &step_profile_ : nullptr);
   pass.end_us = trace_.now_us();
   const std::uint64_t forward_us = pass.end_us - forward_t0_us;
   em_.forward_ms->observe(static_cast<double>(forward_us) / 1000.0);
   pass.worker_us = forward_us * std::max<std::size_t>(config_.n_threads, 1);
-  if (profiling_) {
+  if (config_.profile) {
     // Serial merge of the pass's per-work-item samples: the run total and
     // the profile.* counters advance only here, never off the serial phase.
     profile_total_.merge(step_profile_);
@@ -750,7 +748,7 @@ void ServingEngine::commit(std::size_t i, const PassTiming& pass) {
   if (!seq.wait_counted) {
     seq.wait_counted = true;
     prio.queue_wait_steps +=
-        static_cast<std::size_t>(step_counter_ - seq.submit_step - 1);
+        static_cast<std::size_t>(em_.steps->value() - seq.submit_step - 1);
     ++prio.first_decodes;
     em_.queue_wait_ms->observe(to_ms(pass.now - seq.submit_tp));
   }
@@ -781,7 +779,7 @@ void ServingEngine::commit(std::size_t i, const PassTiming& pass) {
     if (!seq.ttft_counted) {
       seq.ttft_counted = true;
       prio.ttft_steps +=
-          static_cast<std::size_t>(step_counter_ - seq.submit_step);
+          static_cast<std::size_t>(em_.steps->value() - seq.submit_step);
       ++prio.first_tokens;
       em_.ttft_ms->observe(to_ms(pass.now - seq.submit_tp));
     } else {
@@ -835,7 +833,7 @@ void ServingEngine::commit(std::size_t i, const PassTiming& pass) {
                                : TraceEventKind::kDecode,
                .ts_us = pass.end_us,
                .dur_us = share_us,
-               .step = step_counter_,
+               .step = em_.steps->value(),
                .request = seq.id,
                .a = n,
                .b = fed_pos_[i],

@@ -299,17 +299,14 @@ struct ServingConfig {
   bool trace = false;
   /// Trace ring capacity in events (oldest overwritten first; overwrites
   /// are counted in the step-trace header as dropped_steps /
-  /// truncated_events). The OPAL_TRACE_CAPACITY environment variable (a
-  /// positive integer) overrides this, so a long SLO run can be sized to
-  /// lose nothing without recompiling.
+  /// truncated_events).
   std::size_t trace_capacity = 1 << 16;
   /// Kernel/layer profiling (see common/kernel_profiler.h): swaps the
   /// KernelOps dispatch table for a timing wrapper that delegates to the
   /// real table, accumulating per-kernel-kind call/element/wall-clock
   /// counts and per-layer phase timings (ServingEngine::profile(), plus
-  /// profile.* counters in the metrics registry). The OPAL_PROFILE
-  /// environment variable (non-empty, not "0") force-enables it. Off (the
-  /// default), the wrapper is not installed — the hot path is untouched.
+  /// profile.* counters in the metrics registry). Off (the default), the
+  /// wrapper is not installed — the hot path is untouched.
   /// The wrapper calls the underlying kernels with unchanged arguments, so
   /// profiled runs are bitwise identical in every kv_mode.
   bool profile = false;
@@ -460,10 +457,6 @@ class ServingEngine {
   [[nodiscard]] MetricsRegistry::Snapshot metrics() const {
     return registry_.snapshot();
   }
-  /// The registry itself, so callers can put their own series next to the
-  /// engine's (the SLO bench does) or cache metric handles. Same
-  /// external-serialization contract as every other engine call.
-  [[nodiscard]] MetricsRegistry& metrics_registry() { return registry_; }
 
   /// The engine's event tracer — disabled (and empty) unless
   /// ServingConfig::trace or OPAL_TRACE is set. Export with
@@ -472,8 +465,8 @@ class ServingEngine {
   [[nodiscard]] const Tracer& tracer() const { return trace_; }
 
   /// True when this engine profiles its kernel dispatch
-  /// (ServingConfig::profile or OPAL_PROFILE).
-  [[nodiscard]] bool profiling() const { return profiling_; }
+  /// (ServingConfig::profile).
+  [[nodiscard]] bool profiling() const { return config_.profile; }
   /// The run's accumulated kernel/layer profile: per-kernel-kind
   /// call/element/wall-clock counts and per-layer phase timings (worker
   /// time), merged serially from the model pass's per-work-item slots each
@@ -732,7 +725,7 @@ class ServingEngine {
   };
   EngineMetrics em_;
   /// profile.* counter handles, registered (and non-null) only while
-  /// profiling_ — silent engines' registries keep their exact shape.
+  /// profiling — silent engines' registries keep their exact shape.
   struct ProfileMetrics {
     std::array<Counter*, kKernelKindCount> kernel_calls{};
     std::array<Counter*, kKernelKindCount> kernel_elems{};
@@ -741,7 +734,6 @@ class ServingEngine {
     std::array<Counter*, kLayerPhaseCount> phase_ns{};
   };
   ProfileMetrics pm_;
-  bool profiling_ = false;
   /// The current pass's profile (its work items merge into it) and the
   /// serial-phase run total it merges into.
   KernelProfile step_profile_;
@@ -769,7 +761,6 @@ class ServingEngine {
   TokenObserver token_observer_;
   TokenLogprobObserver logprob_observer_;
   RequestId next_id_ = 1;
-  std::uint64_t step_counter_ = 0;
 };
 
 }  // namespace opal

@@ -280,22 +280,6 @@ TEST(Trace, StepTraceHeaderCarriesInfoAndDropCounts) {
   EXPECT_EQ(t.dropped_steps(), 0u);
 }
 
-TEST(Trace, EnvVarOverridesRingCapacity) {
-  ASSERT_EQ(std::getenv("OPAL_TRACE_CAPACITY"), nullptr);
-  EXPECT_EQ(Tracer::env_capacity(64), 64u);
-  setenv("OPAL_TRACE_CAPACITY", "8", 1);
-  EXPECT_EQ(Tracer::env_capacity(64), 8u);
-  Tracer t(true, 64);
-  EXPECT_EQ(t.capacity(), 8u);
-  // Unparsable / non-positive values fall back.
-  setenv("OPAL_TRACE_CAPACITY", "banana", 1);
-  EXPECT_EQ(Tracer::env_capacity(64), 64u);
-  setenv("OPAL_TRACE_CAPACITY", "0", 1);
-  EXPECT_EQ(Tracer::env_capacity(64), 64u);
-  unsetenv("OPAL_TRACE_CAPACITY");
-  EXPECT_EQ(Tracer::env_capacity(64), 64u);
-}
-
 TEST(Registry, PrometheusExposition) {
   MetricsRegistry reg;
   reg.counter("serving.steps").add(7);

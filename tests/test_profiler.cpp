@@ -6,6 +6,7 @@
 // traces is deterministic across trace serialization.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -78,6 +79,20 @@ Served serve(const std::shared_ptr<const PreparedModel>& model,
   return out;
 }
 
+/// The KV mode whose attention path calls kernel `k`.
+KvQuantMode attend_kind_mode(KernelKind k) {
+  switch (k) {
+    case KernelKind::kDequantScoresInt8:
+    case KernelKind::kDequantAccumInt8:
+      return KvQuantMode::kInt8;
+    case KernelKind::kDequantScoresLog2:
+    case KernelKind::kDequantAccumLog2:
+      return KvQuantMode::kLog2;
+    default:
+      return KvQuantMode::kFp32;
+  }
+}
+
 // --- interposition is invisible: bitwise identity in every kv_mode x
 // threading x speculation ---
 
@@ -106,6 +121,20 @@ TEST(Profiler, ProfiledRunBitwiseIdenticalEverywhere) {
         EXPECT_EQ(profiled.stats.steps, silent.stats.steps) << where;
         EXPECT_GT(profiled.profile.total_kernel_calls(), 0u) << where;
         EXPECT_EQ(silent.profile.total_kernel_calls(), 0u) << where;
+        // The attention kernel mix follows the KV mode: fp32 attends
+        // through attend_scores/attend_accum, a quantized cache only
+        // through its own fused dequant pair.
+        for (const KernelKind k :
+             {KernelKind::kAttendScores, KernelKind::kAttendAccum,
+              KernelKind::kDequantScoresInt8, KernelKind::kDequantAccumInt8,
+              KernelKind::kDequantScoresLog2,
+              KernelKind::kDequantAccumLog2}) {
+          const bool used = attend_kind_mode(k) == mode;
+          EXPECT_EQ(profiled.profile.kernels[static_cast<std::size_t>(k)]
+                            .calls > 0,
+                    used)
+              << where << " " << to_string(k);
+        }
       }
     }
   }
@@ -164,6 +193,9 @@ TEST(Profiler, RegistryCountersMirrorProfile) {
     EXPECT_EQ(r.snap.counter_value(base + ".ns"), r.profile.phases[p].ns)
         << base;
   }
+  // Prometheus exposes the same families.
+  EXPECT_NE(r.snap.to_prometheus().find("profile_kernel_matvec_calls_total"),
+            std::string::npos);
   // A silent engine registers no profile.* families at all.
   ServingConfig off;
   const Served silent = serve(model, off);
@@ -309,18 +341,22 @@ TEST(Profiler, DriftAuditDeterministicAcrossSerialization) {
   engine.tracer().write_step_trace(serialized);
   const StepTrace parsed = parse_step_trace(serialized.str());
 
-  const DeviceConfig dev = make_opal_device(4, 7, 4);
-  const DriftReport a = audit_drift(dev, lifted);
-  const DriftReport b = audit_drift(dev, parsed);
-  // Steps either audit or are skipped — none vanish.
-  EXPECT_EQ(a.n_steps + a.skipped_steps, lifted.steps.size());
-  EXPECT_EQ(a.to_json(), b.to_json());
-  EXPECT_EQ(a.to_json(), audit_drift(dev, lifted).to_json());
-  // Percentiles are nearest-rank: always observed ratios.
-  if (a.n_steps > 0) {
+  DriftReport a;
+  for (const DeviceConfig& dev : {make_bf16_device(), make_owq_device(4),
+                                  make_opal_device(4, 7, 4)}) {
+    a = audit_drift(dev, lifted);
+    const DriftReport b = audit_drift(dev, parsed);
+    // Steps either audit or are skipped — none vanish.
+    EXPECT_EQ(a.n_steps + a.skipped_steps, lifted.steps.size());
+    EXPECT_EQ(a.to_json(), b.to_json());
+    EXPECT_EQ(a.to_json(), audit_drift(dev, lifted).to_json());
+    // Every step ran rows for measurable time, so the ratio is defined.
+    ASSERT_GT(a.n_steps, 0u) << dev.name;
+    EXPECT_TRUE(std::isfinite(a.run_ratio())) << dev.name;
+    EXPECT_GT(a.run_ratio(), 0.0) << dev.name;
+    // Percentiles are nearest-rank: always observed ratios.
     EXPECT_GE(a.ratio_p50, a.ratio_min);
     EXPECT_LE(a.ratio_p99, a.ratio_max);
-    EXPECT_GT(a.run_ratio(), 0.0);
     EXPECT_EQ(a.compute_bound_steps + a.dram_bound_steps, a.n_steps);
   }
   // The registry surface lands under the given prefix.

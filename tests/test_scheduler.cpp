@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
 #include <vector>
 
 #include "eval/schemes.h"
@@ -55,8 +56,12 @@ struct ServeOutcome {
   ServingEngine::Stats stats;
 };
 
+/// Serves `requests` to completion. With `arrive_at` (one engine step per
+/// request, nondecreasing) the load is open loop: request r is submitted
+/// once the engine has run arrive_at[r] steps; otherwise all up front.
 ServeOutcome serve(const std::shared_ptr<const PreparedModel>& model,
-                   ServingConfig cfg, const std::vector<Request>& requests) {
+                   ServingConfig cfg, const std::vector<Request>& requests,
+                   std::span<const std::size_t> arrive_at = {}) {
   ServingEngine engine(model, cfg);
   std::map<RequestId, std::size_t> index_of;
   ServeOutcome out;
@@ -66,10 +71,18 @@ ServeOutcome serve(const std::shared_ptr<const PreparedModel>& model,
     out.logged[index_of.at(id)][pos].assign(logits.begin(), logits.end());
   });
   std::vector<RequestId> ids;
-  for (std::size_t r = 0; r < requests.size(); ++r) {
-    const RequestId id = engine.submit(requests[r]);
-    index_of.emplace(id, r);
-    ids.push_back(id);
+  const auto submit_due = [&](std::size_t step) {
+    while (ids.size() < requests.size() &&
+           (arrive_at.empty() || arrive_at[ids.size()] <= step)) {
+      const RequestId id = engine.submit(requests[ids.size()]);
+      index_of.emplace(id, ids.size());
+      ids.push_back(id);
+    }
+  };
+  submit_due(0);
+  for (std::size_t step = 1; ids.size() < requests.size(); ++step) {
+    engine.step();
+    submit_due(step);
   }
   engine.run();
   for (const RequestId id : ids) {
@@ -79,16 +92,22 @@ ServeOutcome serve(const std::shared_ptr<const PreparedModel>& model,
   return out;
 }
 
+/// Same tokens and bitwise the same logits at every position `b` logged.
+/// `b` must log every position `a` did unless `b_restores_prefixes` (a
+/// prefix-cache hit skips the restored positions' decodes).
 void expect_same_serve(const ServeOutcome& a, const ServeOutcome& b,
-                       const std::string& what) {
+                       const std::string& what,
+                       bool b_restores_prefixes = false) {
   ASSERT_EQ(a.tokens, b.tokens) << what;
   ASSERT_EQ(a.logged.size(), b.logged.size()) << what;
   for (std::size_t r = 0; r < a.logged.size(); ++r) {
-    ASSERT_EQ(a.logged[r].size(), b.logged[r].size())
-        << what << " request " << r;
-    for (const auto& [pos, logits] : a.logged[r]) {
-      const auto it = b.logged[r].find(pos);
-      ASSERT_NE(it, b.logged[r].end()) << what << " request " << r
+    if (!b_restores_prefixes) {
+      ASSERT_EQ(a.logged[r].size(), b.logged[r].size())
+          << what << " request " << r;
+    }
+    for (const auto& [pos, logits] : b.logged[r]) {
+      const auto it = a.logged[r].find(pos);
+      ASSERT_NE(it, a.logged[r].end()) << what << " request " << r
                                        << " position " << pos;
       ASSERT_EQ(logits, it->second)
           << what << " request " << r << " position " << pos;  // bitwise
@@ -192,7 +211,16 @@ TEST(SchedulerServing, AllPoliciesAllModesMatchTokenByTokenBitwise) {
   // The acceptance property: chunked prefill under every policy returns
   // the same tokens AND the same per-position logits as the single-token
   // FIFO path, in every kv_mode — scheduling shapes latency, not results.
+  // The second input is open loop with the prefix cache on: the same
+  // requests behind a shared 8-token history arrive mid-run, so later
+  // arrivals restore earlier requests' cached blocks.
   const auto requests = mixed_requests();
+  auto chat = mixed_requests();
+  const auto history = prompt_tokens(8, 11);
+  for (Request& req : chat) {
+    req.prompt.insert(req.prompt.begin(), history.begin(), history.end());
+  }
+  const std::size_t arrive_at[] = {0, 1, 3, 6, 10};
   for (const KvQuantMode mode :
        {KvQuantMode::kFp32, KvQuantMode::kInt8, KvQuantMode::kLog2}) {
     auto model = std::make_shared<const PreparedModel>(tiny_model(),
@@ -200,6 +228,7 @@ TEST(SchedulerServing, AllPoliciesAllModesMatchTokenByTokenBitwise) {
     ServingConfig base;
     base.max_batch = 2;  // queueing + continuous refill
     const auto reference = serve(model, base, requests);
+    const auto chat_reference = serve(model, base, chat);
 
     const auto policies =
         std::vector<std::pair<std::string, std::shared_ptr<Scheduler>>>{
@@ -214,6 +243,13 @@ TEST(SchedulerServing, AllPoliciesAllModesMatchTokenByTokenBitwise) {
       const auto got = serve(model, cfg, requests);
       expect_same_serve(reference, got,
                         name + " chunked, " + to_string(mode));
+      cfg.enable_prefix_cache = true;
+      const auto open_loop = serve(model, cfg, chat, arrive_at);
+      expect_same_serve(chat_reference, open_loop,
+                        name + " open loop + prefix cache, " +
+                            to_string(mode),
+                        /*b_restores_prefixes=*/true);
+      EXPECT_GT(open_loop.stats.prefix_hits, 0u) << name;
     }
   }
 }

@@ -111,6 +111,30 @@ TEST(Log2SoftmaxUnit, LowBitWidthClips) {
   for (std::size_t i = 1; i < codes.size(); ++i) EXPECT_EQ(codes[i], 7);
 }
 
+TEST(Log2SoftmaxUnit, EightBitWeightsStayInUnitInterval) {
+  // At 8 bits a fully underflowed score gets code 255; its weight must be
+  // +0, not a wrapped 2^-255.
+  std::vector<float> in = {0.0f, -200.0f};
+  auto codes = log2_softmax_unit(in, Log2SoftmaxConfig{8});
+  EXPECT_EQ(codes[0], 0);
+  EXPECT_EQ(codes[1], 255);
+  std::vector<float> w(codes.size());
+  attention_weights_from_codes(codes, w);
+  EXPECT_EQ(w[0], 1.0f);
+  EXPECT_EQ(w[1], 0.0f);
+
+  Rng rng = make_rng(6);
+  in.resize(256);
+  fill_gaussian(rng, in, 0.0f, 40.0f);
+  codes = log2_softmax_unit(in, Log2SoftmaxConfig{8});
+  w.resize(codes.size());
+  attention_weights_from_codes(codes, w);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    EXPECT_GE(w[i], 0.0f) << i;
+    EXPECT_LE(w[i], 1.0f) << i;
+  }
+}
+
 TEST(ShiftAccumulate, MatchesWeightedSum) {
   Rng rng = make_rng(4);
   Matrix v(16, 8);
